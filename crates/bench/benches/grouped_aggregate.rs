@@ -22,8 +22,11 @@
 //! ≥ 3× even at one worker.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use sdwp_bench::run_query;
 use sdwp_model::{AttributeType, DimensionBuilder, FactBuilder, SchemaBuilder};
-use sdwp_olap::{AttributeRef, CellValue, Cube, ExecutionConfig, Query, QueryEngine};
+use sdwp_olap::{
+    AttributeRef, CellValue, Cube, ExecOptions, ExecutionConfig, InstanceView, Query, QueryEngine,
+};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -111,7 +114,17 @@ fn bench_grouped_aggregate(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("string-key-serial", cardinality),
             &cardinality,
-            |b, _| b.iter(|| serial.execute_serial(&cube, black_box(&query)).unwrap()),
+            |b, _| {
+                b.iter(|| {
+                    serial
+                        .execute_serial_with_view(
+                            &cube,
+                            black_box(&query),
+                            &InstanceView::unrestricted(),
+                        )
+                        .unwrap()
+                })
+            },
         );
         let dense = QueryEngine::with_config(
             ExecutionConfig::default()
@@ -124,7 +137,11 @@ fn bench_grouped_aggregate(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("dense-flat", cardinality),
             &cardinality,
-            |b, _| b.iter(|| dense.execute(&cube, black_box(&query)).unwrap()),
+            |b, _| {
+                b.iter(|| {
+                    run_query(&dense, &cube, black_box(&query), &ExecOptions::default()).unwrap()
+                })
+            },
         );
         let hashed = QueryEngine::with_config(
             ExecutionConfig::default()
@@ -135,7 +152,11 @@ fn bench_grouped_aggregate(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("dense-hashed", cardinality),
             &cardinality,
-            |b, _| b.iter(|| hashed.execute(&cube, black_box(&query)).unwrap()),
+            |b, _| {
+                b.iter(|| {
+                    run_query(&hashed, &cube, black_box(&query), &ExecOptions::default()).unwrap()
+                })
+            },
         );
     }
 
@@ -151,7 +172,11 @@ fn bench_grouped_aggregate(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("dense-workers", workers),
             &workers,
-            |b, _| b.iter(|| engine.execute(&cube, black_box(&query)).unwrap()),
+            |b, _| {
+                b.iter(|| {
+                    run_query(&engine, &cube, black_box(&query), &ExecOptions::default()).unwrap()
+                })
+            },
         );
     }
     group.finish();
@@ -163,7 +188,11 @@ fn bench_grouped_aggregate(c: &mut Criterion) {
     acceptance.throughput(Throughput::Elements(10_000));
     let serial = QueryEngine::with_config(ExecutionConfig::serial().with_cache_capacity(0));
     acceptance.bench_function("string-key-baseline", |b| {
-        b.iter(|| serial.execute_serial(&cube, black_box(&query)).unwrap())
+        b.iter(|| {
+            serial
+                .execute_serial_with_view(&cube, black_box(&query), &InstanceView::unrestricted())
+                .unwrap()
+        })
     });
     let dense = QueryEngine::with_config(
         ExecutionConfig::default()
@@ -171,7 +200,7 @@ fn bench_grouped_aggregate(c: &mut Criterion) {
             .with_cache_capacity(0),
     );
     acceptance.bench_function("dense-grouped", |b| {
-        b.iter(|| dense.execute(&cube, black_box(&query)).unwrap())
+        b.iter(|| run_query(&dense, &cube, black_box(&query), &ExecOptions::default()).unwrap())
     });
     acceptance.finish();
 }

@@ -11,10 +11,12 @@
 //! relaxed `fetch_add`s, a few nanoseconds.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use sdwp_bench::run_query;
 use sdwp_model::{AttributeType, DimensionBuilder, FactBuilder, SchemaBuilder};
 use sdwp_obs::{ClassId, MetricsRegistry, Stage};
 use sdwp_olap::{
-    AttributeRef, CellValue, Cube, ExecutionConfig, InstanceView, Query, QueryEngine, QueryObs,
+    AttributeRef, CellValue, Cube, ExecOptions, ExecutionConfig, Query, QueryEngine, QueryObs,
+    StageFamily,
 };
 use std::hint::black_box;
 use std::time::Duration;
@@ -111,7 +113,6 @@ fn variants() -> [(&'static str, Option<MetricsRegistry>); 3] {
 
 fn bench_metrics_overhead(c: &mut Criterion) {
     let cube = scaling_cube();
-    let view = InstanceView::unrestricted();
     let engine = QueryEngine::with_config(ExecutionConfig::default().with_cache_capacity(0));
     let query = Query::over("Sales")
         .group_by(AttributeRef::new("Store", "City", "name"))
@@ -124,15 +125,17 @@ fn bench_metrics_overhead(c: &mut Criterion) {
     group.throughput(Throughput::Elements(FACT_ROWS as u64));
     for (label, registry) in variants() {
         group.bench_function(BenchmarkId::from_parameter(label), |b| {
-            let obs = registry.as_ref().map(|registry| QueryObs {
-                registry,
-                class: ClassId::DEFAULT,
-                generation: 1,
-            });
+            let options = ExecOptions {
+                obs: registry.as_ref().map(|registry| QueryObs {
+                    registry,
+                    class: ClassId::DEFAULT,
+                    generation: 1,
+                    family: StageFamily::Query,
+                }),
+                ..ExecOptions::default()
+            };
             b.iter(|| {
-                engine
-                    .execute_with_view_observed(&cube, black_box(&query), &view, None, obs)
-                    .expect("roll-up executes")
+                run_query(&engine, &cube, black_box(&query), &options).expect("roll-up executes")
             })
         });
     }
@@ -143,15 +146,17 @@ fn bench_metrics_overhead(c: &mut Criterion) {
     group.throughput(Throughput::Elements(FACT_ROWS as u64));
     for (label, registry) in variants() {
         group.bench_function(BenchmarkId::from_parameter(label), |b| {
-            let obs = registry.as_ref().map(|registry| QueryObs {
-                registry,
-                class: ClassId::DEFAULT,
-                generation: 1,
-            });
+            let options = ExecOptions {
+                obs: registry.as_ref().map(|registry| QueryObs {
+                    registry,
+                    class: ClassId::DEFAULT,
+                    generation: 1,
+                    family: StageFamily::Batch,
+                }),
+                ..ExecOptions::default()
+            };
             b.iter(|| {
-                for result in
-                    engine.execute_batch_observed(&cube, black_box(&batch), &view, None, obs)
-                {
+                for result in engine.execute(&cube, black_box(&batch), &options) {
                     black_box(result.expect("panel executes"));
                 }
             })

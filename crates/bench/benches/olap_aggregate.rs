@@ -6,9 +6,11 @@
 //! executor's own ablation.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sdwp_bench::default_scenario;
+use sdwp_bench::{default_scenario, run_query};
 use sdwp_geometry::Point;
-use sdwp_olap::{AttributeRef, ExecutionConfig, Filter, InstanceView, Query, QueryEngine};
+use sdwp_olap::{
+    AttributeRef, ExecOptions, ExecutionConfig, Filter, InstanceView, Query, QueryEngine,
+};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -30,20 +32,36 @@ fn bench_olap_aggregate(c: &mut Criterion) {
         .measure("StoreSales");
 
     group.bench_function("unrestricted", |b| {
-        b.iter(|| engine.execute(cube, black_box(&base_query)).unwrap())
+        b.iter(|| {
+            run_query(
+                &engine,
+                cube,
+                black_box(&base_query),
+                &ExecOptions::default(),
+            )
+            .unwrap()
+        })
     });
 
     // The classic row-at-a-time loop, as the executor baseline.
     let serial = QueryEngine::with_config(ExecutionConfig::serial());
     group.bench_function("unrestricted-serial-reference", |b| {
-        b.iter(|| serial.execute_serial(cube, black_box(&base_query)).unwrap())
+        b.iter(|| {
+            serial
+                .execute_serial_with_view(
+                    cube,
+                    black_box(&base_query),
+                    &InstanceView::unrestricted(),
+                )
+                .unwrap()
+        })
     });
 
     let sliced = base_query
         .clone()
         .filter_dimension("Store", Filter::eq("State.name", "North-West"));
     group.bench_function("attribute-slice", |b| {
-        b.iter(|| engine.execute(cube, black_box(&sliced)).unwrap())
+        b.iter(|| run_query(&engine, cube, black_box(&sliced), &ExecOptions::default()).unwrap())
     });
 
     let store0 = scenario.retail.stores[0].location;
@@ -56,7 +74,7 @@ fn bench_olap_aggregate(c: &mut Criterion) {
         ),
     );
     group.bench_function("spatial-filter-25km", |b| {
-        b.iter(|| engine.execute(cube, black_box(&spatial)).unwrap())
+        b.iter(|| run_query(&engine, cube, black_box(&spatial), &ExecOptions::default()).unwrap())
     });
 
     // A personalized view pre-computed once (what SelectInstance produces).
@@ -71,11 +89,8 @@ fn bench_olap_aggregate(c: &mut Criterion) {
     let mut view = InstanceView::unrestricted();
     view.select_dimension_members("Store", selected);
     group.bench_function("personalized-view-25km", |b| {
-        b.iter(|| {
-            engine
-                .execute_with_view(cube, black_box(&base_query), &view)
-                .unwrap()
-        })
+        let options = ExecOptions::with_view(&view);
+        b.iter(|| run_query(&engine, cube, black_box(&base_query), &options).unwrap())
     });
 
     group.finish();

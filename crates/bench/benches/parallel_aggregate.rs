@@ -6,8 +6,11 @@
 //! from the morsel split) is the signal.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use sdwp_bench::run_query;
 use sdwp_model::{AttributeType, DimensionBuilder, FactBuilder, SchemaBuilder};
-use sdwp_olap::{AttributeRef, CellValue, Cube, ExecutionConfig, Query, QueryEngine};
+use sdwp_olap::{
+    AttributeRef, CellValue, Cube, ExecOptions, ExecutionConfig, InstanceView, Query, QueryEngine,
+};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -90,7 +93,11 @@ fn bench_parallel_scaling(c: &mut Criterion) {
 
     let serial = QueryEngine::with_config(ExecutionConfig::serial().with_cache_capacity(0));
     group.bench_function("serial-reference", |b| {
-        b.iter(|| serial.execute_serial(&cube, black_box(&query)).unwrap())
+        b.iter(|| {
+            serial
+                .execute_serial_with_view(&cube, black_box(&query), &InstanceView::unrestricted())
+                .unwrap()
+        })
     });
 
     for workers in [1usize, 2, 4, 8] {
@@ -102,7 +109,11 @@ fn bench_parallel_scaling(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("morsel-workers", workers),
             &workers,
-            |b, _| b.iter(|| engine.execute(&cube, black_box(&query)).unwrap()),
+            |b, _| {
+                b.iter(|| {
+                    run_query(&engine, &cube, black_box(&query), &ExecOptions::default()).unwrap()
+                })
+            },
         );
     }
     group.finish();

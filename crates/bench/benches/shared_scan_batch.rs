@@ -19,16 +19,17 @@
 //!
 //! Swept at batch sizes 1/2/4/8/16 on the paper scenario scaled to
 //! ~100k sales rows. `standalone/N` executes the same queries one at a
-//! time (the pre-batch cost); `batched/N` is one `execute_batch_with_view`
-//! call; `batched-warm-dicts/N` adds a pre-warmed group-key dictionary
+//! time, each as a batch of one; `batched/N` is one `QueryEngine::execute`
+//! call over all of them; `batched-warm-dicts/N` adds a pre-warmed group-key dictionary
 //! cache (what the serving layer sees from the second refresh on). The
 //! acceptance gate compares `batched/identical/8` against
 //! `standalone/identical/1`: the 8-panel batch must cost ≤ 3× one
 //! uncached panel.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use sdwp_bench::run_query;
 use sdwp_datagen::{dashboard_batch, OverlapRegime, PaperScenario, ScenarioConfig};
-use sdwp_olap::{GroupDictCache, InstanceView, QueryEngine};
+use sdwp_olap::{ExecOptions, GroupDictCache, QueryEngine};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -55,7 +56,7 @@ fn bench_shared_scan_batch(c: &mut Criterion) {
         .table
         .len() as u64;
     let engine = QueryEngine::new();
-    let view = InstanceView::unrestricted();
+    let options = ExecOptions::default();
 
     for regime in OverlapRegime::ALL {
         let mut group = c.benchmark_group(format!("shared_scan_batch/{}", regime.label()));
@@ -69,8 +70,7 @@ fn bench_shared_scan_batch(c: &mut Criterion) {
                 b.iter(|| {
                     for query in &batch {
                         black_box(
-                            engine
-                                .execute_with_view(cube, query, &view)
+                            run_query(&engine, cube, query, &options)
                                 .expect("dashboard query executes"),
                         );
                     }
@@ -79,7 +79,7 @@ fn bench_shared_scan_batch(c: &mut Criterion) {
 
             group.bench_function(BenchmarkId::new("batched", size), |b| {
                 b.iter(|| {
-                    for result in engine.execute_batch_with_view(cube, black_box(&batch), &view) {
+                    for result in engine.execute(cube, black_box(&batch), &options) {
                         black_box(result.expect("dashboard query executes"));
                     }
                 })
@@ -87,18 +87,17 @@ fn bench_shared_scan_batch(c: &mut Criterion) {
 
             group.bench_function(BenchmarkId::new("batched-warm-dicts", size), |b| {
                 let dicts = GroupDictCache::new();
+                let cached = ExecOptions {
+                    dicts: Some((&dicts, 1)),
+                    ..options
+                };
                 // Warm the dictionaries once; the measured loop then
                 // only pays lookups, like the second refresh onward.
-                for result in engine.execute_batch_cached(cube, &batch, &view, Some((&dicts, 1))) {
+                for result in engine.execute(cube, &batch, &cached) {
                     result.expect("dashboard query executes");
                 }
                 b.iter(|| {
-                    for result in engine.execute_batch_cached(
-                        cube,
-                        black_box(&batch),
-                        &view,
-                        Some((&dicts, 1)),
-                    ) {
+                    for result in engine.execute(cube, black_box(&batch), &cached) {
                         black_box(result.expect("dashboard query executes"));
                     }
                 })

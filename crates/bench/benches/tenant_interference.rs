@@ -15,20 +15,20 @@
 //! preemption instead — the admitted analyst's *caller* scans on its
 //! own thread, which the engine-level scheduler cannot deschedule — so
 //! there the ~2× target applies to the mean and the governed/open gap
-//! carries the story. A fourth group checks the pool against the
-//! per-query `thread::scope` executor solo: reusing warm workers must
-//! not cost single-query latency.
+//! carries the story. A fourth group times the pooled roll-up solo and
+//! unobserved, the baseline the observed solo regime is read against.
 //!
 //! Criterion reports the mean; the `B19 summary` lines printed per
 //! regime carry the p50/p99 of the explicit sample loop that
 //! EXPERIMENTS.md quotes.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use sdwp_bench::run_query;
 use sdwp_model::{AttributeType, DimensionBuilder, FactBuilder, SchemaBuilder};
 use sdwp_obs::MetricsRegistry;
 use sdwp_olap::{
-    AttributeRef, CellValue, Cube, ExecutionConfig, InstanceView, MorselPool, PoolConfig, Query,
-    QueryEngine, QueryObs, TenantPolicy,
+    AttributeRef, CellValue, Cube, ExecOptions, ExecutionConfig, MorselPool, PoolConfig, Query,
+    QueryEngine, QueryObs, StageFamily, TenantPolicy,
 };
 use std::hint::black_box;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -128,15 +128,12 @@ fn percentile(sorted_micros: &[u64], q: f64) -> u64 {
 
 /// Runs `SAMPLES` dashboard queries, returning sorted per-query
 /// latencies in microseconds.
-fn sample_dashboard(engine: &QueryEngine, cube: &Cube, obs: QueryObs<'_>) -> Vec<u64> {
-    let view = InstanceView::unrestricted();
+fn sample_dashboard(engine: &QueryEngine, cube: &Cube, options: &ExecOptions<'_>) -> Vec<u64> {
     let query = dashboard_query();
     let mut samples = Vec::with_capacity(SAMPLES);
     for _ in 0..SAMPLES {
         let start = Instant::now();
-        let result = engine
-            .execute_with_view_observed(cube, &query, &view, None, Some(obs))
-            .expect("dashboard panel executes");
+        let result = run_query(engine, cube, &query, options).expect("dashboard panel executes");
         samples.push(start.elapsed().as_micros() as u64);
         black_box(result);
     }
@@ -198,20 +195,22 @@ fn bench_tenant_interference(c: &mut Criterion) {
                 let stop = Arc::clone(&stop);
                 let registry = Arc::clone(&registry);
                 std::thread::spawn(move || {
-                    let view = InstanceView::unrestricted();
                     let query = analyst_query();
-                    let obs = QueryObs {
-                        registry: &registry,
-                        class: analyst_class,
-                        generation: 1,
+                    let options = ExecOptions {
+                        obs: Some(QueryObs {
+                            registry: &registry,
+                            class: analyst_class,
+                            generation: 1,
+                            family: StageFamily::Query,
+                        }),
+                        ..ExecOptions::default()
                     };
                     while !stop.load(Ordering::Relaxed) {
                         let _slot = pool
                             .try_admit(analyst_class)
                             .expect("guaranteed tenants are never shed");
                         black_box(
-                            engine
-                                .execute_with_view_observed(&cube, &query, &view, None, Some(obs))
+                            run_query(&engine, &cube, &query, &options)
                                 .expect("analyst query executes"),
                         );
                     }
@@ -219,12 +218,16 @@ fn bench_tenant_interference(c: &mut Criterion) {
             })
             .collect();
 
-        let obs = QueryObs {
-            registry: &registry,
-            class: dashboard_class,
-            generation: 1,
+        let options = ExecOptions {
+            obs: Some(QueryObs {
+                registry: &registry,
+                class: dashboard_class,
+                generation: 1,
+                family: StageFamily::Query,
+            }),
+            ..ExecOptions::default()
         };
-        let samples = sample_dashboard(&engine, &cube, obs);
+        let samples = sample_dashboard(&engine, &cube, &options);
         let (p50, p90, p95, p99) = (
             percentile(&samples, 0.5),
             percentile(&samples, 0.9),
@@ -245,11 +248,9 @@ fn bench_tenant_interference(c: &mut Criterion) {
         );
 
         group.bench_function(label, |b| {
-            let view = InstanceView::unrestricted();
             let query = dashboard_query();
             b.iter(|| {
-                engine
-                    .execute_with_view_observed(&cube, black_box(&query), &view, None, Some(obs))
+                run_query(&engine, &cube, black_box(&query), &options)
                     .expect("dashboard panel executes")
             })
         });
@@ -261,28 +262,16 @@ fn bench_tenant_interference(c: &mut Criterion) {
     }
     group.finish();
 
-    // -- pool vs per-query thread::scope, solo ---------------------------
-    // Reusing warm pool workers must not cost single-query latency
-    // against the executor that spawns a scope per query.
+    // -- the pooled roll-up, solo and unobserved --------------------------
     let mut group = c.benchmark_group("B19_tenant_interference/executor");
     group.throughput(Throughput::Elements(FACT_ROWS as u64));
-    let view = InstanceView::unrestricted();
     let query = dashboard_query();
-    let scoped = QueryEngine::with_config(config);
-    group.bench_function("thread-scope", |b| {
-        b.iter(|| {
-            scoped
-                .execute_with_view(&cube, black_box(&query), &view)
-                .expect("scoped roll-up executes")
-        })
-    });
     let pool = Arc::new(MorselPool::new(PoolConfig::default().with_workers(3)));
     let pooled = QueryEngine::with_pool(config, Arc::clone(&pool));
+    let options = ExecOptions::default();
     group.bench_function("worker-pool", |b| {
         b.iter(|| {
-            pooled
-                .execute_with_view(&cube, black_box(&query), &view)
-                .expect("pooled roll-up executes")
+            run_query(&pooled, &cube, black_box(&query), &options).expect("pooled roll-up executes")
         })
     });
     group.finish();

@@ -67,6 +67,19 @@ pub fn manager_location(scenario: &PaperScenario) -> LocationContext {
     LocationContext::at_point("office", store.location.x() + 0.5, store.location.y())
 }
 
+/// Executes one query through [`sdwp_olap::QueryEngine::execute`] as a
+/// batch of one — how the benches time a single pivot.
+pub fn run_query(
+    engine: &sdwp_olap::QueryEngine,
+    cube: &sdwp_olap::Cube,
+    query: &sdwp_olap::Query,
+    options: &sdwp_olap::ExecOptions<'_>,
+) -> Result<sdwp_olap::QueryResult, sdwp_olap::OlapError> {
+    engine
+        .execute(cube, std::slice::from_ref(query), options)
+        .remove(0)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

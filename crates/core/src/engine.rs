@@ -40,17 +40,21 @@ use sdwp_model::{Schema, SchemaDiff};
 use sdwp_obs::{ClassId, MetricsRegistry, MetricsSnapshot, Stage};
 use sdwp_olap::{
     AdmissionGuard, AdmitError, CacheKey, CacheStats, CancelToken, Cube, DictCacheStats,
-    ExecutionConfig, FactTableStats, GroupDictCache, InstanceView, MorselPool, OlapError,
-    PoolConfig, Query, QueryCache, QueryEngine, QueryObs, QueryResult, TenantPolicy,
+    ExecOptions, ExecutionConfig, FactTableStats, GroupDictCache, InstanceView, MorselPool,
+    OlapError, PoolConfig, Query, QueryCache, QueryEngine, QueryObs, QueryResult, StageFamily,
+    TenantPolicy,
 };
 use sdwp_prml::{
     CompiledRuleSet, EvalContext, FireReport, LayerSource, NoExternalLayers, PrmlError, Rule,
     RuleClass, RuleEngine, RuntimeEvent,
 };
 use sdwp_user::{LocationContext, ProfileStore, Session, SessionId, UserProfile};
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet};
+use std::slice;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 /// The shared cube state: the mutex-guarded write master, the published
 /// immutable snapshot and the generation-keyed result cache — everything
@@ -324,7 +328,28 @@ impl CubeSink for CubeState {
 /// with the session's pinned generation before refusing. Generous against
 /// the default epoch interval (50 ms) while still bounding worst-case
 /// query latency.
-const READ_YOUR_WRITES_WAIT: std::time::Duration = std::time::Duration::from_millis(500);
+const READ_YOUR_WRITES_WAIT: Duration = Duration::from_millis(500);
+
+/// Poll step of the read-your-writes wait.
+const RYW_POLL: Duration = Duration::from_millis(1);
+
+/// A read's session context: the view it runs through, the session's
+/// read-your-writes floor and class, and the version pin that keeps the
+/// view's fact-row selections translatable until the read completes
+/// (`None` for unpersonalized reads, which hold no selections).
+struct ReadContext {
+    view: Arc<InstanceView>,
+    min_generation: u64,
+    class: ClassId,
+    _pin: Option<VersionPinGuard>,
+}
+
+/// The single answer of a batch-of-one read.
+fn only(
+    results: Result<Vec<Result<QueryResult, CoreError>>, CoreError>,
+) -> Result<QueryResult, CoreError> {
+    results?.pop().expect("one result per query")
+}
 
 /// A handle to a started session: the id plus the report of what the
 /// personalization rules did at session start.
@@ -379,12 +404,11 @@ pub struct PersonalizationEngine {
     parameters: RwLock<BTreeMap<String, f64>>,
     layer_source: Arc<dyn LayerSource + Send + Sync>,
     sessions: Arc<SessionManager>,
+    /// The executor. When configured for more than one worker it runs
+    /// on the engine-lifetime morsel pool (see
+    /// [`PersonalizationEngine::morsel_pool`]) with its tenant scheduler
+    /// and admission controller; a one-worker executor runs inline.
     query_engine: QueryEngine,
-    /// The engine-lifetime morsel worker pool parallel scans run on,
-    /// with its tenant scheduler and admission controller. `None` when
-    /// the executor is configured for a single worker (everything runs
-    /// inline and there is nothing to schedule).
-    morsel_pool: Option<Arc<MorselPool>>,
     /// The streaming-ingestion pipeline, started lazily by
     /// [`PersonalizationEngine::start_ingest`]. Shut down (drained,
     /// final epoch published, worker joined) when the engine drops.
@@ -438,20 +462,18 @@ impl PersonalizationEngine {
         let original_schema = cube.schema().clone();
         let snapshot = VersionedSwap::from_pointee(cube.clone());
         let sessions = Arc::new(SessionManager::new());
-        // The shared worker pool replaces per-query `thread::scope`
-        // spawns: the querying thread always scans, so the pool only
-        // needs `workers - 1` long-lived helpers. A one-worker executor
-        // runs entirely inline and skips the pool.
-        let pool_workers = config.effective_workers().saturating_sub(1);
-        let morsel_pool = (pool_workers > 0).then(|| {
-            Arc::new(MorselPool::with_registry(
+        // The engine-lifetime worker pool: the querying thread always
+        // scans, so the pool only needs `workers - 1` long-lived helpers.
+        // A one-worker executor runs entirely inline and skips the pool.
+        let pool_workers = config.effective_workers() - 1;
+        let query_engine = if pool_workers > 0 {
+            let pool = MorselPool::with_registry(
                 PoolConfig::default().with_workers(pool_workers),
                 Arc::clone(&metrics),
-            ))
-        });
-        let query_engine = match &morsel_pool {
-            Some(pool) => QueryEngine::with_pool(config, Arc::clone(pool)),
-            None => QueryEngine::with_config(config),
+            );
+            QueryEngine::with_pool(config, Arc::new(pool))
+        } else {
+            QueryEngine::with_config(config)
         };
         PersonalizationEngine {
             cube_state: Arc::new(CubeState {
@@ -473,7 +495,6 @@ impl PersonalizationEngine {
             layer_source,
             sessions,
             query_engine,
-            morsel_pool,
             ingest: Mutex::new(None),
             metrics,
         }
@@ -741,51 +762,18 @@ impl PersonalizationEngine {
         query: &Query,
         deadline: Option<std::time::Duration>,
     ) -> Result<QueryResult, CoreError> {
-        let (active, view, min_generation, class, _pin) =
-            self.sessions.with_session(session_id, |state| {
-                // Pin the view's fact-selection versions while still under
-                // the session shard lock (mutually exclusive with the
-                // compaction path's eager remap of this shard): the query
-                // keeps this clone of the view — possibly across a
-                // read-your-writes wait — and the remap-chain trimmer must
-                // not drop transitions the clone still needs. Released when
-                // the guard drops after execution.
-                let versions: BTreeMap<String, u64> = state
-                    .view
-                    .fact_selection_versions()
-                    .map(|(fact, version)| (fact.to_string(), version))
-                    .collect();
-                let pin = VersionPinGuard {
-                    state: Arc::clone(&self.cube_state),
-                    token: (!versions.is_empty())
-                        .then(|| self.cube_state.version_pins.pin(versions)),
-                };
-                (
-                    state.is_active(),
-                    Arc::clone(&state.view),
-                    state.min_generation,
-                    state.class,
-                    pin,
-                )
-            })?;
-        if !active {
-            return Err(CoreError::UnknownSession {
-                session: session_id,
-            });
-        }
-        self.query_snapshot(query, view, min_generation, class, deadline)
+        only(self.read(
+            Some(session_id),
+            slice::from_ref(query),
+            deadline,
+            StageFamily::Query,
+        ))
     }
 
     /// Executes an OLAP query against the full, unpersonalized cube
     /// (the baseline the paper's approach avoids exposing to users).
     pub fn query_unpersonalized(&self, query: &Query) -> Result<QueryResult, CoreError> {
-        self.query_snapshot(
-            query,
-            Arc::new(InstanceView::unrestricted()),
-            0,
-            ClassId::DEFAULT,
-            None,
-        )
+        only(self.read(None, slice::from_ref(query), None, StageFamily::Query))
     }
 
     /// Pins a session to a minimum snapshot generation: later queries of
@@ -808,71 +796,6 @@ impl PersonalizationEngine {
             state.min_generation = state.min_generation.max(generation);
             Ok(state.min_generation)
         })?
-    }
-
-    /// The shared cached read path: consistent `(generation, cube)` pair,
-    /// cache lookup, parallel execution, cache fill. Takes the view as an
-    /// `Arc` (sessions already hold one), so keying the cache is a
-    /// refcount bump rather than a deep clone of the selection sets.
-    ///
-    /// `min_generation` is the session's read-your-writes floor: when the
-    /// published snapshot is older, the query waits briefly for the epoch
-    /// worker to catch up and errors with [`CoreError::StaleSnapshot`] if
-    /// it does not.
-    fn query_snapshot(
-        &self,
-        query: &Query,
-        view: Arc<InstanceView>,
-        min_generation: u64,
-        class: ClassId,
-        deadline: Option<std::time::Duration>,
-    ) -> Result<QueryResult, CoreError> {
-        // End-to-end span: covers the admission gate, the
-        // read-your-writes wait, the cache lookup and (on a miss) the
-        // observed execution; records on every exit, including errors.
-        let _total = self.metrics.span(Stage::QueryTotal, class);
-        // The budget clock starts here, *before* admission: a query that
-        // spends its whole budget parked in the admission queue comes
-        // back DeadlineExceeded instead of running late.
-        let cancel = self.lifecycle_token(deadline);
-        // Admission first: a shed query does no work at all — not even a
-        // cache probe — and a guaranteed tenant over budget waits here
-        // (backpressure, bounded by the deadline) before touching any
-        // snapshot.
-        let _admission = self.admit_query(class, cancel.deadline())?;
-        let (generation, cube) = self.wait_for_generation(min_generation)?;
-        let dicts = Some((&self.cube_state.dict_cache, generation));
-        let obs = Some(QueryObs {
-            registry: &self.metrics,
-            class,
-            generation,
-        });
-        if !self.cube_state.result_cache.is_enabled() {
-            return Ok(self
-                .query_engine
-                .execute_with_view_cancellable(&cube, query, &view, dicts, obs, &cancel)?);
-        }
-        let key = CacheKey::new(generation, query, view);
-        let lookup = self.metrics.span(Stage::CacheLookup, class);
-        let hit = self.cube_state.result_cache.get(&key);
-        lookup.finish();
-        if let Some(hit) = hit {
-            return Ok((*hit).clone());
-        }
-        let result = self
-            .query_engine
-            .execute_with_view_cancellable(&cube, query, &key.view, dicts, obs, &cancel)?;
-        self.cube_state
-            .result_cache
-            .insert(key, Arc::new(result.clone()));
-        Ok(result)
-    }
-
-    /// The cancel token a read path runs under: the explicit per-query
-    /// budget wins, else the executor config's default, else no deadline.
-    fn lifecycle_token(&self, deadline: Option<std::time::Duration>) -> CancelToken {
-        let budget = deadline.or(self.query_engine.config().deadline);
-        CancelToken::with_deadline(budget.map(|budget| std::time::Instant::now() + budget))
     }
 
     /// Executes a batch of OLAP queries through a session's personalized
@@ -903,32 +826,7 @@ impl PersonalizationEngine {
         queries: &[Query],
         deadline: Option<std::time::Duration>,
     ) -> Result<Vec<Result<QueryResult, CoreError>>, CoreError> {
-        let (active, view, min_generation, class, _pin) =
-            self.sessions.with_session(session_id, |state| {
-                let versions: BTreeMap<String, u64> = state
-                    .view
-                    .fact_selection_versions()
-                    .map(|(fact, version)| (fact.to_string(), version))
-                    .collect();
-                let pin = VersionPinGuard {
-                    state: Arc::clone(&self.cube_state),
-                    token: (!versions.is_empty())
-                        .then(|| self.cube_state.version_pins.pin(versions)),
-                };
-                (
-                    state.is_active(),
-                    Arc::clone(&state.view),
-                    state.min_generation,
-                    state.class,
-                    pin,
-                )
-            })?;
-        if !active {
-            return Err(CoreError::UnknownSession {
-                session: session_id,
-            });
-        }
-        self.query_batch_snapshot(queries, view, min_generation, class, deadline)
+        self.read(Some(session_id), queries, deadline, StageFamily::Batch)
     }
 
     /// Executes a batch of OLAP queries against the full, unpersonalized
@@ -937,101 +835,172 @@ impl PersonalizationEngine {
         &self,
         queries: &[Query],
     ) -> Result<Vec<Result<QueryResult, CoreError>>, CoreError> {
-        self.query_batch_snapshot(
-            queries,
-            Arc::new(InstanceView::unrestricted()),
-            0,
-            ClassId::DEFAULT,
-            None,
-        )
+        self.read(None, queries, None, StageFamily::Batch)
     }
 
-    /// The shared batched read path: one consistent `(generation, cube)`
-    /// pair for the whole batch, one locked batch lookup in the result
-    /// cache, one shared-scan execution over exactly the misses, then a
-    /// cache fill for every freshly computed result.
-    fn query_batch_snapshot(
+    /// Copies a session's read context out under its shard lock, pinning
+    /// the view's fact-selection versions while still holding it (so the
+    /// compaction path's eager remap of the shard cannot interleave): the
+    /// read keeps this clone of the view — possibly across a
+    /// read-your-writes wait — and the remap-chain trimmer must not drop
+    /// transitions it still needs until the context drops.
+    fn pin_session(&self, session_id: SessionId) -> Result<ReadContext, CoreError> {
+        let (active, context) = self.sessions.with_session(session_id, |state| {
+            let versions: BTreeMap<String, u64> = state
+                .view
+                .fact_selection_versions()
+                .map(|(fact, version)| (fact.to_string(), version))
+                .collect();
+            let pin = VersionPinGuard {
+                state: Arc::clone(&self.cube_state),
+                token: (!versions.is_empty()).then(|| self.cube_state.version_pins.pin(versions)),
+            };
+            (
+                state.is_active(),
+                ReadContext {
+                    view: Arc::clone(&state.view),
+                    min_generation: state.min_generation,
+                    class: state.class,
+                    _pin: Some(pin),
+                },
+            )
+        })?;
+        if !active {
+            return Err(CoreError::UnknownSession {
+                session: session_id,
+            });
+        }
+        Ok(context)
+    }
+
+    /// The one read path behind every query entry point: session pin (or
+    /// an unpersonalized view), admission, a `(generation, cube)` pair at
+    /// or above the read-your-writes floor, one locked result-cache
+    /// lookup, one shared-scan execution over exactly the misses, then a
+    /// cache fill. A single query is a batch of one; `family` names the
+    /// stages it records under. The view travels as an `Arc`, so keying
+    /// the cache is a refcount bump, not a deep clone.
+    fn read(
         &self,
+        session: Option<SessionId>,
         queries: &[Query],
-        view: Arc<InstanceView>,
-        min_generation: u64,
-        class: ClassId,
         deadline: Option<std::time::Duration>,
+        family: StageFamily,
     ) -> Result<Vec<Result<QueryResult, CoreError>>, CoreError> {
-        let _total = self.metrics.span(Stage::BatchTotal, class);
-        let cancel = self.lifecycle_token(deadline);
+        let context = match session {
+            Some(session_id) => self.pin_session(session_id)?,
+            None => ReadContext {
+                view: Arc::new(InstanceView::unrestricted()),
+                min_generation: 0,
+                class: ClassId::DEFAULT,
+                _pin: None,
+            },
+        };
+        let class = context.class;
+        // End-to-end span: covers the admission gate, the
+        // read-your-writes wait, the cache lookup and (on a miss) the
+        // observed execution; records on every exit, including errors.
+        let _total = self.metrics.span(family.total(), class);
+        // The budget clock starts here, *before* admission: a query that
+        // spends its whole budget parked in the admission queue or in
+        // the read-your-writes wait comes back DeadlineExceeded instead
+        // of running late. The explicit per-query budget wins, else the
+        // executor config's default, else no deadline.
+        let budget = deadline.or(self.query_engine.config().deadline);
+        let cancel = CancelToken::with_deadline(budget.map(|budget| Instant::now() + budget));
+        // Admission first: a shed query does no work at all — not even a
+        // cache probe — and a guaranteed tenant over budget waits here
+        // (backpressure, bounded by the deadline) before touching any
+        // snapshot.
         let _admission = self.admit_query(class, cancel.deadline())?;
-        let (generation, cube) = self.wait_for_generation(min_generation)?;
-        let dicts = Some((&self.cube_state.dict_cache, generation));
-        let obs = Some(QueryObs {
-            registry: &self.metrics,
-            class,
-            generation,
-        });
+        let (generation, cube) = self.wait_for_generation(context.min_generation, &cancel)?;
+        let options = ExecOptions {
+            view: &context.view,
+            dicts: Some((&self.cube_state.dict_cache, generation)),
+            obs: Some(QueryObs {
+                registry: &self.metrics,
+                class,
+                generation,
+                family,
+            }),
+            cancel: Some(&cancel),
+        };
         if !self.cube_state.result_cache.is_enabled() {
             return Ok(self
                 .query_engine
-                .execute_batch_cancellable(&cube, queries, &view, dicts, obs, &cancel)
+                .execute(&cube, queries, &options)
                 .into_iter()
                 .map(|result| result.map_err(CoreError::from))
                 .collect());
         }
         let keys: Vec<CacheKey> = queries
             .iter()
-            .map(|query| CacheKey::new(generation, query, Arc::clone(&view)))
+            .map(|query| CacheKey::new(generation, query, Arc::clone(&context.view)))
             .collect();
         let lookup = self.metrics.span(Stage::CacheLookup, class);
         let cached = self.cube_state.result_cache.get_batch(&keys);
         lookup.finish();
-        let miss_indices: Vec<usize> = cached
-            .iter()
-            .enumerate()
-            .filter_map(|(i, hit)| hit.is_none().then_some(i))
-            .collect();
-        let misses: Vec<Query> = miss_indices.iter().map(|&i| queries[i].clone()).collect();
-        let executed = self
-            .query_engine
-            .execute_batch_cancellable(&cube, &misses, &view, dicts, obs, &cancel);
-        let mut results: Vec<Option<Result<QueryResult, CoreError>>> = cached
-            .into_iter()
-            .map(|hit| hit.map(|r| Ok((*r).clone())))
-            .collect();
-        for (&index, executed) in miss_indices.iter().zip(executed) {
-            if let Ok(result) = &executed {
-                self.cube_state
-                    .result_cache
-                    .insert(keys[index].clone(), Arc::new(result.clone()));
-            }
-            results[index] = Some(executed.map_err(CoreError::from));
+        // Execute exactly the misses, together; a read that misses
+        // entirely (every uncached pivot) runs the caller's slice as is.
+        let misses: Cow<'_, [Query]> = if cached.iter().all(Option::is_none) {
+            Cow::Borrowed(queries)
+        } else {
+            queries
+                .iter()
+                .zip(&cached)
+                .filter(|(_, hit)| hit.is_none())
+                .map(|(query, _)| query.clone())
+                .collect()
+        };
+        let mut executed = if misses.is_empty() {
+            Vec::new()
+        } else {
+            self.query_engine.execute(&cube, &misses, &options)
         }
-        Ok(results
+        .into_iter();
+        Ok(cached
             .into_iter()
-            .map(|result| result.expect("every batch slot answered or executed"))
+            .zip(keys)
+            .map(|(hit, key)| match hit {
+                Some(hit) => Ok((*hit).clone()),
+                None => {
+                    let result = executed.next().expect("one result per miss")?;
+                    let cached = Arc::new(result.clone());
+                    self.cube_state.result_cache.insert(key, cached);
+                    Ok(result)
+                }
+            })
             .collect())
     }
 
     /// Loads a consistent `(generation, cube)` pair at or above
     /// `min_generation`, polling briefly when the published snapshot lags
     /// a read-your-writes pin (the epoch worker publishes within its
-    /// `max_interval`, typically tens of milliseconds).
-    fn wait_for_generation(&self, min_generation: u64) -> Result<(u64, Arc<Cube>), CoreError> {
-        let (generation, cube) = self.cube_state.snapshot.load_versioned();
-        if generation >= min_generation {
-            return Ok((generation, cube));
-        }
-        let deadline = std::time::Instant::now() + READ_YOUR_WRITES_WAIT;
+    /// `max_interval`, typically tens of milliseconds). The wait stops at
+    /// whichever comes first: the read's deadline, with
+    /// [`CoreError::DeadlineExceeded`], or [`READ_YOUR_WRITES_WAIT`], with
+    /// [`CoreError::StaleSnapshot`].
+    fn wait_for_generation(
+        &self,
+        min_generation: u64,
+        cancel: &CancelToken,
+    ) -> Result<(u64, Arc<Cube>), CoreError> {
+        let cap = Instant::now() + READ_YOUR_WRITES_WAIT;
         loop {
-            std::thread::sleep(std::time::Duration::from_millis(1));
             let (generation, cube) = self.cube_state.snapshot.load_versioned();
             if generation >= min_generation {
                 return Ok((generation, cube));
             }
-            if std::time::Instant::now() >= deadline {
+            cancel.check()?;
+            let now = Instant::now();
+            if now >= cap {
                 return Err(CoreError::StaleSnapshot {
                     published: generation,
                     required: min_generation,
                 });
             }
+            let until = cancel.deadline().map_or(cap, |deadline| deadline.min(cap));
+            std::thread::sleep(until.saturating_duration_since(now).min(RYW_POLL));
         }
     }
 
@@ -1055,8 +1024,8 @@ impl PersonalizationEngine {
         &self.metrics
     }
 
-    /// Sets the slow-query journal threshold: standalone queries (and
-    /// batch fact groups) whose end-to-end pipeline time meets it are
+    /// Sets the slow-query journal threshold: single queries (and batch
+    /// fact groups) whose end-to-end pipeline time meets it are
     /// journaled with their per-stage breakdown.
     pub fn set_slow_query_threshold_micros(&self, micros: u64) {
         self.metrics.journal().set_threshold_micros(micros);
@@ -1074,7 +1043,7 @@ impl PersonalizationEngine {
         class: ClassId,
         deadline: Option<std::time::Instant>,
     ) -> Result<Option<AdmissionGuard>, CoreError> {
-        match &self.morsel_pool {
+        match self.query_engine.pool() {
             None => Ok(None),
             Some(pool) => {
                 pool.admit_until(class, deadline)
@@ -1106,7 +1075,7 @@ impl PersonalizationEngine {
     /// its scheduler statistics are also folded into
     /// [`PersonalizationEngine::metrics_snapshot`].
     pub fn morsel_pool(&self) -> Option<&Arc<MorselPool>> {
-        self.morsel_pool.as_ref()
+        self.query_engine.pool()
     }
 
     /// Sets the scheduling and admission policy of a session class
@@ -1115,7 +1084,7 @@ impl PersonalizationEngine {
     /// budgets steer admission of subsequent queries.
     pub fn set_tenant_policy(&self, class_name: &str, policy: TenantPolicy) -> ClassId {
         let class = self.metrics.register_class(class_name);
-        if let Some(pool) = &self.morsel_pool {
+        if let Some(pool) = self.query_engine.pool() {
             pool.set_policy(class, policy);
         }
         class
@@ -1128,7 +1097,7 @@ impl PersonalizationEngine {
     /// whose effective share changed. Call it from an operator loop, or
     /// start the pool's autotune thread for a fixed cadence.
     pub fn rebalance_worker_shares(&self) -> Vec<(String, u32)> {
-        match &self.morsel_pool {
+        match self.query_engine.pool() {
             None => Vec::new(),
             Some(pool) => pool
                 .rebalance()
@@ -1198,7 +1167,7 @@ impl PersonalizationEngine {
                 ("ingest_worker_down".to_string(), ingest.worker_down as i64),
             ]);
         }
-        if let Some(pool) = &self.morsel_pool {
+        if let Some(pool) = self.query_engine.pool() {
             let stats = pool.stats();
             let names = self.metrics.class_names();
             snap.gauges
@@ -2059,6 +2028,39 @@ mod tests {
         ));
         // Unknown sessions cannot be pinned.
         assert!(engine.pin_session_generation(9_999, 1).is_err());
+    }
+
+    #[test]
+    fn read_your_writes_wait_honours_the_deadline() {
+        let (engine, scenario) = engine();
+        let handle = engine
+            .start_session("regional-manager", Some(near_first_store(&scenario)))
+            .unwrap();
+        // Nothing will publish: the session is pinned one generation
+        // ahead of an idle warehouse.
+        let ahead = engine.cube_generation() + 1;
+        engine.pin_session_generation(handle.id, ahead).unwrap();
+        let query = Query::over("Sales").measure("UnitSales");
+        let budget = Some(std::time::Duration::from_millis(2));
+        let started = std::time::Instant::now();
+        assert_eq!(
+            engine.query_with_deadline(handle.id, &query, budget),
+            Err(CoreError::DeadlineExceeded)
+        );
+        assert_eq!(
+            engine.query_batch_with_deadline(handle.id, slice::from_ref(&query), budget),
+            Err(CoreError::DeadlineExceeded)
+        );
+        assert!(
+            started.elapsed() < std::time::Duration::from_millis(100),
+            "the wait overran a 2 ms budget: {:?}",
+            started.elapsed()
+        );
+        // Without a deadline the wait still ends at its cap, as before.
+        assert!(matches!(
+            engine.query(handle.id, &query),
+            Err(CoreError::StaleSnapshot { required, .. }) if required == ahead
+        ));
     }
 
     #[test]

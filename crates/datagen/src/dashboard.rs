@@ -145,14 +145,18 @@ mod tests {
     fn batches_execute_against_the_paper_scenario() {
         let scenario = crate::PaperScenario::generate(crate::ScenarioConfig::tiny());
         let engine = sdwp_olap::QueryEngine::new();
+        let options = sdwp_olap::ExecOptions::default();
+        let view = sdwp_olap::InstanceView::unrestricted();
         for regime in OverlapRegime::ALL {
             let batch = dashboard_batch(regime, 6, crate::ScenarioConfig::tiny().cities);
-            for (query, result) in batch
-                .iter()
-                .zip(engine.execute_batch(&scenario.cube, &batch))
+            for (query, result) in
+                batch
+                    .iter()
+                    .zip(engine.execute(&scenario.cube, &batch, &options))
             {
                 let result = result.unwrap();
-                assert_eq!(result, engine.execute(&scenario.cube, query).unwrap());
+                let expected = engine.execute_serial_with_view(&scenario.cube, query, &view);
+                assert_eq!(result, expected.unwrap());
             }
         }
     }

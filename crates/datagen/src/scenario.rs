@@ -240,7 +240,7 @@ pub const PAPER_LAYERS: [(&str, GeometricType); 2] = [
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sdwp_olap::{AttributeRef, Query, QueryEngine};
+    use sdwp_olap::{AttributeRef, ExecOptions, Query, QueryEngine};
 
     #[test]
     fn fig2_schema_structure() {
@@ -279,7 +279,12 @@ mod tests {
         // The OLAP grand total equals the generator's total.
         let engine = QueryEngine::new();
         let result = engine
-            .execute(cube, &Query::over("Sales").measure("UnitSales"))
+            .execute(
+                cube,
+                &[Query::over("Sales").measure("UnitSales")],
+                &ExecOptions::default(),
+            )
+            .remove(0)
             .unwrap();
         let total = result.rows[0].values[0].as_number().unwrap();
         assert!((total - scenario.retail.total_unit_sales()).abs() < 1e-6);
@@ -292,10 +297,12 @@ mod tests {
         let by_city = engine
             .execute(
                 &scenario.cube,
-                &Query::over("Sales")
+                &[Query::over("Sales")
                     .group_by(AttributeRef::new("Store", "City", "name"))
-                    .measure("UnitSales"),
+                    .measure("UnitSales")],
+                &ExecOptions::default(),
             )
+            .remove(0)
             .unwrap();
         assert!(!by_city.is_empty());
         assert!(by_city.len() <= scenario.retail.cities.len());

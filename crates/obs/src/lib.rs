@@ -20,7 +20,7 @@
 //!
 //! Latency samples are keyed two ways: by [`Stage`] (a fixed enum of the
 //! engine's instrumented pipeline stages — query resolve/scan/merge/
-//! finalize standalone and batched, ingest validate/apply/publish/
+//! finalize of single queries and of batches, ingest validate/apply/publish/
 //! compact, rule condition/effect, session lifecycle) and by [`ClassId`]
 //! (a small dense *session class* id, the tenant key a future
 //! admission-control scheduler reads per-class p50/p99 quantiles from).

@@ -20,13 +20,13 @@ pub const MAX_CLASSES: usize = 8;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 #[allow(missing_docs)] // variant names are the documentation
 pub enum Stage {
-    // Standalone query pipeline.
+    // Query pipeline, single queries (pivots).
     QueryResolve,
     QueryScan,
     QueryMerge,
     QueryFinalize,
     QueryTotal,
-    // Shared-scan batch pipeline.
+    // Query pipeline, batches (dashboards).
     BatchResolve,
     BatchScan,
     BatchMerge,

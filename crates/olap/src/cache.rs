@@ -153,34 +153,15 @@ impl QueryCache {
     /// Looks a result up, counting the hit or miss. A hit refreshes the
     /// entry's LRU recency.
     pub fn get(&self, key: &CacheKey) -> Option<Arc<QueryResult>> {
-        let mut inner = self.inner.lock().expect("query cache poisoned");
-        let tick = inner.next_tick();
-        match inner.map.get_mut(key) {
-            Some(entry) => {
-                let previous = entry.last_used;
-                entry.last_used = tick;
-                let result = Arc::clone(&entry.result);
-                // Move the already-stored key to its new recency slot —
-                // the hit path allocates nothing under the shared mutex.
-                if let Some(stored) = inner.recency.remove(&previous) {
-                    inner.recency.insert(tick, stored);
-                }
-                inner.hits += 1;
-                Some(result)
-            }
-            None => {
-                inner.misses += 1;
-                None
-            }
-        }
+        self.get_batch(std::slice::from_ref(key)).pop().flatten()
     }
 
     /// Looks up a whole batch of keys under one lock acquisition,
-    /// counting one hit or miss per key. Hits refresh recency exactly as
-    /// [`QueryCache::get`] would; the returned vector is positional
-    /// (`result[i]` answers `keys[i]`), so the batch executor can scan
-    /// only the `None` slots. Duplicate keys in one batch all hit once
-    /// the first occurrence would.
+    /// counting one hit or miss per key; a hit refreshes the entry's LRU
+    /// recency. The returned vector is positional (`result[i]` answers
+    /// `keys[i]`), so the executor can scan only the `None` slots.
+    /// Duplicate keys in one batch all hit once the first occurrence
+    /// would.
     pub fn get_batch(&self, keys: &[CacheKey]) -> Vec<Option<Arc<QueryResult>>> {
         let mut inner = self.inner.lock().expect("query cache poisoned");
         keys.iter()
@@ -191,6 +172,9 @@ impl QueryCache {
                         let previous = entry.last_used;
                         entry.last_used = tick;
                         let result = Arc::clone(&entry.result);
+                        // Move the already-stored key to its new recency
+                        // slot — the hit path allocates nothing under the
+                        // shared mutex.
                         if let Some(stored) = inner.recency.remove(&previous) {
                             inner.recency.insert(tick, stored);
                         }

@@ -144,8 +144,7 @@ impl DictInner {
 /// A thread-safe cache of group-key dictionaries, keyed by (snapshot
 /// generation, group-by attribute). One instance lives next to each
 /// cube's result cache; the executor consults it through
-/// `QueryEngine::execute_with_view_cached` /
-/// `QueryEngine::execute_batch_cached`.
+/// [`crate::ExecOptions::dicts`].
 #[derive(Debug, Default)]
 pub struct GroupDictCache {
     inner: Mutex<DictInner>,

@@ -3,30 +3,40 @@
 //!
 //! # Execution model
 //!
-//! Execution is a two-phase *morsel* pipeline in the style of
-//! morsel-driven parallelism: the fact table is split into fixed-size row
-//! chunks ("morsels"); scoped worker threads pull morsel indices from a
-//! shared atomic counter and run filter + partial aggregation per morsel
-//! into a private hash table; the partial [`Accumulator`] states are then
-//! merged **in morsel-index order** and finalised once.
+//! There is one execution path, [`QueryEngine::execute`], and every call
+//! is a *batch*: a single pivot is a batch of one, a dashboard a batch of
+//! several (the GLADE-style shared scan). The batch is resolved up
+//! front, its queries are grouped by fact, and each fact table is
+//! scanned **once** as a two-phase *morsel* pipeline in the style of
+//! morsel-driven parallelism: the table is split into fixed-size row
+//! chunks ("morsels"); the calling thread and up to `workers - 1` helpers
+//! of the engine's [`MorselPool`] pull morsel indices from a shared
+//! atomic counter and run selection + partial aggregation per morsel for
+//! every member query; each query's partial [`Accumulator`] states are
+//! then merged **in morsel-index order** and finalised once. A
+//! one-worker engine runs the same loop inline on the calling thread.
 //!
 //! Because morsel boundaries and the merge order depend only on
-//! [`ExecutionConfig::morsel_rows`] — never on the worker count or on
-//! which worker processed which morsel — the result (including every
-//! floating-point partial sum) is bit-for-bit identical whether the
-//! pipeline runs on 1 or N workers. [`QueryEngine::execute_serial_with_view`]
-//! keeps the classic row-at-a-time loop as the reference implementation
-//! the equivalence property suite compares against.
+//! [`ExecutionConfig::morsel_rows`] — never on the worker count, on which
+//! participant processed which morsel, or on which batch mates a query
+//! had — the result (including every floating-point partial sum) is
+//! bit-for-bit identical whether the pipeline runs on 1 or N workers and
+//! whether the query runs alone or in a batch.
+//! [`QueryEngine::execute_serial_with_view`] keeps the classic
+//! row-at-a-time loop as the reference implementation the equivalence
+//! property suites compare against.
 //!
-//! Within a morsel, measure reads are pushed down to the chunked column
-//! storage: numeric measures go through pre-resolved column indices and
-//! typed accessors instead of per-row [`CellValue`] materialisation, and
-//! ungrouped all-numeric aggregates run entirely on the vectorised
-//! per-chunk kernels of [`crate::kernels`] (one `&[f64]` / `&[i64]` slice
-//! pass per chunk, with a validity-mask branch only for chunks that
-//! actually contain nulls). The serial reference stays row-at-a-time on
-//! purpose — it is the semantic yardstick the fast paths are property-
-//! tested against.
+//! Within a morsel, one selection vector is materialised per *filter
+//! class* (batch members whose canonical filters coincide), and measure
+//! reads are pushed down to the chunked column storage: numeric measures
+//! go through pre-resolved column indices and typed accessors instead of
+//! per-row [`CellValue`] materialisation, and ungrouped all-numeric
+//! aggregates run entirely on the vectorised per-chunk kernels of
+//! [`crate::kernels`] (one `&[f64]` / `&[i64]` slice pass per contiguous
+//! run of selected rows, with a validity-mask branch only for chunks
+//! that actually contain nulls). The serial reference stays
+//! row-at-a-time on purpose — it is the semantic yardstick the fast
+//! paths are property-tested against.
 //!
 //! # Grouped execution: dense ids and selection vectors
 //!
@@ -60,7 +70,7 @@ use crate::dicts::{attr_key, GroupDictCache, GroupKeys, NULL_KEY};
 use crate::error::OlapError;
 use crate::hash::FxHashMap;
 use crate::kernels::NumericAgg;
-use crate::pool::MorselPool;
+use crate::pool::{MorselPool, PoolConfig};
 use crate::query::{AttributeRef, Query, QueryResult, ResultRow};
 use crate::table::Table;
 use crate::value::CellValue;
@@ -73,6 +83,9 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
+
+/// The view [`ExecOptions::default`] executes through.
+static UNRESTRICTED: InstanceView = InstanceView::unrestricted();
 
 /// Default number of fact rows per morsel.
 pub const DEFAULT_MORSEL_ROWS: usize = 1024;
@@ -362,13 +375,66 @@ fn filter_class_key(query: &Query) -> String {
     format!("{filters:?}|{:?}", query.fact_filter)
 }
 
+/// The stage family an observed execution records under: the pipeline
+/// is the same, the family keeps pivots and dashboards apart in the
+/// stage histograms and the slow-query journal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StageFamily {
+    /// A single query (a pivot): [`Stage::QueryResolve`] ..
+    /// [`Stage::QueryFinalize`], journaled with the query's shape.
+    Query,
+    /// A dashboard batch: [`Stage::BatchResolve`] ..
+    /// [`Stage::BatchFinalize`], journaled as `batch:{fact}×{queries}`
+    /// per fact group.
+    Batch,
+}
+
+impl StageFamily {
+    /// The family's end-to-end stage, recorded by the caller around
+    /// admission, waits, the cache and the execution.
+    pub fn total(self) -> Stage {
+        match self {
+            StageFamily::Query => Stage::QueryTotal,
+            StageFamily::Batch => Stage::BatchTotal,
+        }
+    }
+
+    /// The resolve / scan / merge / finalize stages, in that order.
+    fn phases(self) -> [Stage; 4] {
+        match self {
+            StageFamily::Query => [
+                Stage::QueryResolve,
+                Stage::QueryScan,
+                Stage::QueryMerge,
+                Stage::QueryFinalize,
+            ],
+            StageFamily::Batch => [
+                Stage::BatchResolve,
+                Stage::BatchScan,
+                Stage::BatchMerge,
+                Stage::BatchFinalize,
+            ],
+        }
+    }
+
+    /// The journal shape of one fact group.
+    fn shape(self, group: &FactGroup<'_>) -> String {
+        match (self, group.queries.as_slice()) {
+            (StageFamily::Query, [only]) => query_shape(only.query),
+            _ => format!("batch:{}×{}", group.fact, group.queries.len()),
+        }
+    }
+}
+
 /// Observability context for an observed execution: where to record
-/// per-stage latency samples, the session class they are keyed by, and
-/// the snapshot generation (journaled alongside slow queries).
+/// per-stage latency samples, the session class they are keyed by, the
+/// snapshot generation (journaled alongside slow queries) and the stage
+/// family the request records under.
 ///
-/// `Copy` by design — callers pass it down per query; the engine itself
-/// stays stateless. A context whose registry is disabled is dropped at
-/// the entry point, so the pipeline takes zero clock reads in that case.
+/// `Copy` by design — callers pass it down per request; the engine
+/// itself stays stateless. A context whose registry is disabled is
+/// dropped at the entry point, so the pipeline takes zero clock reads in
+/// that case.
 #[derive(Debug, Clone, Copy)]
 pub struct QueryObs<'a> {
     /// Registry stage samples are recorded into.
@@ -378,16 +444,66 @@ pub struct QueryObs<'a> {
     pub class: ClassId,
     /// Snapshot generation the query executes against.
     pub generation: u64,
+    /// The stage family the request records under.
+    pub family: StageFamily,
 }
 
-/// Runs one query's morsel loop on the calling thread plus up to
-/// `helpers` shared-pool workers, collecting every participant's
-/// partials. Collection order across participants is arbitrary —
-/// [`merge_partials`] sorts by morsel index, which is what keeps pooled
-/// execution bit-identical to the scoped executor regardless of how
-/// many helpers the scheduler actually dispatched.
-fn run_pooled<T: Send>(
-    pool: &MorselPool,
+/// Per-call inputs of [`QueryEngine::execute`] besides the cube and the
+/// queries. The default runs unpersonalized, builds group-key
+/// dictionaries per call, records nothing and enforces the engine
+/// config's deadline.
+#[derive(Debug, Clone, Copy)]
+pub struct ExecOptions<'a> {
+    /// The personalized view (the `SelectInstance` selection) every
+    /// query runs through; only fact rows visible through it take part.
+    pub view: &'a InstanceView,
+    /// A group-key dictionary cache plus the generation the cube was
+    /// published at, so group-by dictionaries are reused across calls
+    /// (within one call they are shared per attribute anyway).
+    pub dicts: Option<(&'a GroupDictCache, u64)>,
+    /// Stage timing and slow-query journaling (see [`QueryObs`]).
+    pub obs: Option<QueryObs<'a>>,
+    /// The token the scan checks between morsels, typically carrying a
+    /// deadline that also covers the caller's admission waits. `None`
+    /// creates one from [`ExecutionConfig::deadline`].
+    pub cancel: Option<&'a CancelToken>,
+}
+
+impl Default for ExecOptions<'_> {
+    fn default() -> Self {
+        ExecOptions {
+            view: &UNRESTRICTED,
+            dicts: None,
+            obs: None,
+            cancel: None,
+        }
+    }
+}
+
+impl<'a> ExecOptions<'a> {
+    /// Default options executing through `view`.
+    pub fn with_view(view: &'a InstanceView) -> Self {
+        ExecOptions {
+            view,
+            ..ExecOptions::default()
+        }
+    }
+}
+
+/// Runs one fact group's morsel loop on the calling thread plus, when
+/// the engine has a pool, up to `helpers` of its workers, collecting
+/// every participant's partials. Collection order across participants is
+/// arbitrary — [`merge_partials`] sorts by morsel index, which is what
+/// keeps pooled execution bit-identical to inline execution regardless
+/// of how many helpers the scheduler actually dispatched.
+///
+/// A participant panic (helper or caller) is contained by poisoning the
+/// token instead of unwinding into the caller; the executor turns the
+/// poisoned token into a typed error after the join, so partials
+/// collected here are never merged in that case — recovering the
+/// collector lock below is therefore safe.
+fn run_participants<T: Send>(
+    pool: Option<&MorselPool>,
     tenant: ClassId,
     helpers: usize,
     cancel: &CancelToken,
@@ -401,28 +517,17 @@ fn run_pooled<T: Send>(
             .unwrap_or_else(|poisoned| poisoned.into_inner())
             .extend(partials);
     };
-    // The cancellable scan contains a participant panic (helper or
-    // caller) by poisoning the token instead of re-raising; the
-    // executor turns the poisoned token into a typed error after the
-    // join, so partials collected here are never merged in that case —
-    // recovering the collector lock above is therefore safe.
-    pool.scan_cancellable(tenant, helpers, cancel, &work);
+    match pool {
+        Some(pool) => pool.scan_cancellable(tenant, helpers, cancel, &work),
+        None => {
+            if std::panic::catch_unwind(std::panic::AssertUnwindSafe(work)).is_err() {
+                cancel.poison();
+            }
+        }
+    }
     collected
         .into_inner()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
-}
-
-/// Runs the single-participant (`workers <= 1`) scan with the same
-/// containment contract as the pooled path: a panic poisons the token
-/// and returns no partials instead of unwinding into the caller.
-fn run_contained<T>(cancel: &CancelToken, scan: &impl Fn() -> Vec<T>) -> Vec<T> {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(scan)) {
-        Ok(partials) => partials,
-        Err(_) => {
-            cancel.poison();
-            Vec::new()
-        }
-    }
 }
 
 /// The journal's outcome marker for an abnormal terminal state.
@@ -467,15 +572,23 @@ fn query_shape(query: &Query) -> String {
 /// Executes [`Query`]s against a [`Cube`], optionally through an
 /// [`InstanceView`] (the personalized selection produced by the
 /// `SelectInstance` action).
-#[derive(Debug, Clone, Default)]
+///
+/// An engine configured for more than one worker owns (or shares, see
+/// [`QueryEngine::with_pool`]) a [`MorselPool`]; a one-worker engine
+/// runs every scan inline on the calling thread.
+#[derive(Debug, Clone)]
 pub struct QueryEngine {
     config: ExecutionConfig,
-    /// The shared morsel worker pool parallel scans run on. `None`
-    /// falls back to per-query `std::thread::scope` spawns (the
-    /// pre-pool executor, kept as the equivalence reference and for
-    /// standalone `QueryEngine` uses that never see enough queries to
-    /// amortise a pool).
+    /// The morsel worker pool parallel scans run on: the calling thread
+    /// always scans, and up to `workers - 1` pool workers join it.
+    /// `None` exactly when the engine runs inline.
     pool: Option<Arc<MorselPool>>,
+}
+
+impl Default for QueryEngine {
+    fn default() -> Self {
+        QueryEngine::with_config(ExecutionConfig::default())
+    }
 }
 
 impl QueryEngine {
@@ -485,16 +598,23 @@ impl QueryEngine {
     }
 
     /// Creates a query engine with an explicit execution configuration.
+    /// When the configuration resolves to more than one worker, the
+    /// engine owns a private [`MorselPool`] of `workers - 1` helpers
+    /// (spawned once, joined when the last clone of the engine drops).
     pub fn with_config(config: ExecutionConfig) -> Self {
-        QueryEngine { config, pool: None }
+        let helpers = config.effective_workers() - 1;
+        let pool = (helpers > 0)
+            .then(|| Arc::new(MorselPool::new(PoolConfig::default().with_workers(helpers))));
+        QueryEngine { config, pool }
     }
 
     /// Creates a query engine whose parallel scans run on a shared
-    /// [`MorselPool`] instead of per-query `thread::scope` spawns: the
-    /// calling thread always scans, and up to `workers - 1` pool
-    /// workers join it subject to the pool's per-tenant scheduling.
-    /// Results are bit-identical to the scoped executor (enforced by
-    /// the `pool_equivalence` property suite).
+    /// [`MorselPool`] (typically one carrying a metrics registry and
+    /// per-tenant policies): the calling thread always scans, and up to
+    /// `workers - 1` pool workers join it subject to the pool's
+    /// per-tenant scheduling. Results are bit-identical to an owned
+    /// pool and to inline execution (enforced by the `pool_equivalence`
+    /// property suite).
     pub fn with_pool(config: ExecutionConfig, pool: Arc<MorselPool>) -> Self {
         QueryEngine {
             config,
@@ -502,7 +622,7 @@ impl QueryEngine {
         }
     }
 
-    /// The shared morsel pool, when this engine executes on one.
+    /// The morsel pool, when this engine executes on one.
     pub fn pool(&self) -> Option<&Arc<MorselPool>> {
         self.pool.as_ref()
     }
@@ -512,306 +632,49 @@ impl QueryEngine {
         &self.config
     }
 
-    /// Executes a query without any personalization.
-    pub fn execute(&self, cube: &Cube, query: &Query) -> Result<QueryResult, OlapError> {
-        self.execute_with_view(cube, query, &InstanceView::unrestricted())
-    }
-
-    /// Executes a query through a personalized instance view: only fact
-    /// rows visible through the view participate in the aggregation.
+    /// Executes a batch of queries against one snapshot in a single
+    /// shared morsel pass over each fact table (the GLADE-style
+    /// multi-query scan); a single query is a batch of one.
     ///
-    /// Runs the morsel-parallel pipeline described in the module docs.
-    /// The result is deterministic: it depends on the cube, query, view
-    /// and [`ExecutionConfig::morsel_rows`], but not on the worker count.
-    pub fn execute_with_view(
-        &self,
-        cube: &Cube,
-        query: &Query,
-        view: &InstanceView,
-    ) -> Result<QueryResult, OlapError> {
-        self.execute_with_view_cached(cube, query, view, None)
-    }
-
-    /// [`QueryEngine::execute_with_view`] with an optional group-key
-    /// dictionary cache: `dicts` names the cache and the snapshot
-    /// generation `cube` was published at, so group-by dictionaries are
-    /// reused across queries instead of being rebuilt O(dimension
-    /// members) each time. Pass `None` to build per query.
-    pub fn execute_with_view_cached(
-        &self,
-        cube: &Cube,
-        query: &Query,
-        view: &InstanceView,
-        dicts: Option<(&GroupDictCache, u64)>,
-    ) -> Result<QueryResult, OlapError> {
-        self.execute_with_view_observed(cube, query, view, dicts, None)
-    }
-
-    /// [`QueryEngine::execute_with_view_cached`] with optional stage
-    /// timing: when `obs` names an enabled registry, the resolve / scan /
-    /// merge / finalize phases are timed individually and recorded as
-    /// [`Stage::QueryResolve`]..[`Stage::QueryFinalize`] keyed by the
-    /// context's session class, and queries slower than the registry's
-    /// journal threshold are journaled with their per-stage breakdown.
-    /// With `obs == None` (or a disabled registry) the pipeline runs
-    /// without a single clock read.
-    pub fn execute_with_view_observed(
-        &self,
-        cube: &Cube,
-        query: &Query,
-        view: &InstanceView,
-        dicts: Option<(&GroupDictCache, u64)>,
-        obs: Option<QueryObs<'_>>,
-    ) -> Result<QueryResult, OlapError> {
-        let cancel =
-            CancelToken::with_deadline(self.config.deadline.map(|budget| Instant::now() + budget));
-        self.execute_with_view_cancellable(cube, query, view, dicts, obs, &cancel)
-    }
-
-    /// [`QueryEngine::execute_with_view_observed`] against an explicit
-    /// [`CancelToken`] (typically carrying the query's deadline,
-    /// computed by the caller so it also covers admission waits). The
-    /// scan loop — caller and every pool helper — checks the token
-    /// between morsels; a tripped token surfaces as the typed
+    /// Queries are resolved up front (sharing group-key dictionaries per
+    /// attribute) and grouped by fact; each fact's rows are scanned
+    /// **once**, with one selection vector per morsel and *filter class*
+    /// (queries whose canonicalised filters coincide) feeding every
+    /// member's own accumulation path (vectorised / flat-slot / hashed).
+    /// Per-query partials merge in morsel-index order, so a result
+    /// depends on the cube, query, view and
+    /// [`ExecutionConfig::morsel_rows`] only — not on the worker count or
+    /// the batch mates — and equals
+    /// [`QueryEngine::execute_serial_with_view`] up to float summation
+    /// order (enforced by the equivalence property suites).
+    ///
+    /// Results are positional (`results[i]` answers `queries[i]`); a
+    /// query's resolution or scan error stays in its own slot. Every
+    /// participant checks the [`ExecOptions::cancel`] token between
+    /// morsels; a token that trips (deadline or contained panic) fails
+    /// the current and every not-yet-scanned fact group with the typed
     /// [`OlapError::DeadlineExceeded`] / [`OlapError::ExecutionPanicked`]
-    /// with **no partial state**: nothing was merged, nothing reaches
-    /// any cache, and (on the pooled path) a participant panic is
-    /// contained to this query instead of unwinding into the caller.
-    pub fn execute_with_view_cancellable(
+    /// and **no partial state**, while completed groups keep their
+    /// results. With [`ExecOptions::obs`] naming an enabled registry,
+    /// resolution records once and each fact group records its scan,
+    /// merge and finalize stages, journaling slow or cancelled groups;
+    /// without it the pipeline takes no clock reads.
+    pub fn execute(
         &self,
         cube: &Cube,
-        query: &Query,
-        view: &InstanceView,
-        dicts: Option<(&GroupDictCache, u64)>,
-        obs: Option<QueryObs<'_>>,
-        cancel: &CancelToken,
-    ) -> Result<QueryResult, OlapError> {
+        queries: &[Query],
+        options: &ExecOptions<'_>,
+    ) -> Vec<Result<QueryResult, OlapError>> {
+        let config_token =
+            CancelToken::with_deadline(self.config.deadline.map(|budget| Instant::now() + budget));
+        let cancel = options.cancel.unwrap_or(&config_token);
+        let view = options.view;
         // The tenant class keys pool scheduling even when the registry
         // is disabled, so capture it before the enabled filter.
-        let tenant = obs.map(|o| o.class).unwrap_or_default();
-        let obs = obs.filter(|o| o.registry.is_enabled());
-        let mut clock = obs.map(|_| Instant::now());
-
-        crate::fail_point!("query.resolve", |message: String| Err(
-            OlapError::InvalidQuery {
-                message: format!("injected: {message}"),
-            }
-        ));
-        let resolved = resolve(cube, query)?;
-        let fact_table = &cube.fact_table(&query.fact)?.table;
-        let plan = if query.group_by.is_empty() {
-            GroupPlan::ungrouped()
-        } else {
-            let mut lookup = keys_lookup(dicts);
-            build_group_plan(
-                cube,
-                query,
-                fact_table,
-                &resolved,
-                self.config.group_slot_limit,
-                &mut lookup,
-            )
-        };
-        let resolve_micros = lap(&mut clock);
-        let total_rows = fact_table.len();
-        let morsel_rows = self.config.morsel_rows.max(1);
-        let morsel_count = total_rows.div_ceil(morsel_rows);
-        let workers = self
-            .config
-            .effective_workers()
-            .clamp(1, morsel_count.max(1));
-
-        let next_morsel = AtomicUsize::new(0);
-        let scan_morsels = || {
-            scan_assigned_morsels(
-                cube,
-                query,
-                view,
-                &resolved,
-                &plan,
-                fact_table,
-                &next_morsel,
-                morsel_count,
-                morsel_rows,
-                total_rows,
-                cancel,
-            )
-        };
-
-        let partials: Vec<(usize, Result<MorselPartial, OlapError>)> = if workers <= 1 {
-            run_contained(cancel, &scan_morsels)
-        } else if let Some(pool) = &self.pool {
-            run_pooled(pool, tenant, workers - 1, cancel, &scan_morsels)
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers).map(|_| scope.spawn(scan_morsels)).collect();
-                handles
-                    .into_iter()
-                    .flat_map(|handle| handle.join().expect("morsel worker panicked"))
-                    .collect()
-            })
-        };
-        let scan_micros = lap(&mut clock);
-
-        // Terminal-state check, not a clock check: a deadline that
-        // expires *after* the last morsel was scanned no longer fails
-        // the query, but a tripped token means morsel indices were
-        // consumed without being scanned — merging would silently
-        // produce wrong results, so bail with the typed error. The
-        // abnormal exit is journaled unconditionally (slow or not) with
-        // its terminal stage marked, so cancelled and panicked queries
-        // never vanish from the operator's view.
-        if let Some(error) = cancel.terminal_error() {
-            if let Some(o) = obs {
-                o.registry
-                    .record_micros(Stage::QueryResolve, o.class, resolve_micros);
-                o.registry
-                    .record_micros(Stage::QueryScan, o.class, scan_micros);
-                o.registry.journal().record(SlowQueryRecord {
-                    shape: query_shape(query),
-                    class: o.registry.class_name(o.class),
-                    generation: o.generation,
-                    workers,
-                    resolve_micros,
-                    scan_micros,
-                    merge_micros: 0,
-                    finalize_micros: 0,
-                    total_micros: resolve_micros + scan_micros,
-                    outcome: journal_outcome(&error).to_string(),
-                });
-            }
-            return Err(error);
-        }
-
-        crate::fail_point!("query.merge", |message: String| Err(
-            OlapError::InvalidQuery {
-                message: format!("injected: {message}"),
-            }
-        ));
-        let (rows, facts_scanned, facts_matched) = merge_partials(&resolved, &plan, partials)?;
-        let merge_micros = lap(&mut clock);
-        let result = materialise(query, &resolved, rows, facts_scanned, facts_matched);
-        let finalize_micros = lap(&mut clock);
-
-        if let Some(o) = obs {
-            o.registry
-                .record_micros(Stage::QueryResolve, o.class, resolve_micros);
-            o.registry
-                .record_micros(Stage::QueryScan, o.class, scan_micros);
-            o.registry
-                .record_micros(Stage::QueryMerge, o.class, merge_micros);
-            o.registry
-                .record_micros(Stage::QueryFinalize, o.class, finalize_micros);
-            let total_micros = resolve_micros + scan_micros + merge_micros + finalize_micros;
-            let journal = o.registry.journal();
-            if journal.is_slow(total_micros) {
-                journal.record(SlowQueryRecord {
-                    shape: query_shape(query),
-                    class: o.registry.class_name(o.class),
-                    generation: o.generation,
-                    workers,
-                    resolve_micros,
-                    scan_micros,
-                    merge_micros,
-                    finalize_micros,
-                    total_micros,
-                    outcome: sdwp_obs::OUTCOME_COMPLETED.to_string(),
-                });
-            }
-        }
-        Ok(result)
-    }
-
-    /// Executes a batch of queries against one snapshot in a single
-    /// shared morsel pass, without personalization. See
-    /// [`QueryEngine::execute_batch_with_view`].
-    pub fn execute_batch(
-        &self,
-        cube: &Cube,
-        queries: &[Query],
-    ) -> Vec<Result<QueryResult, OlapError>> {
-        self.execute_batch_cached(cube, queries, &InstanceView::unrestricted(), None)
-    }
-
-    /// Executes a batch of queries through one personalized view in a
-    /// single shared pass over each fact table (the GLADE-style
-    /// multi-query scan).
-    ///
-    /// All queries are resolved against the snapshot up front (sharing
-    /// group-key dictionaries per attribute); the queries are grouped by
-    /// fact, each fact's rows are scanned **once** morsel-parallel, and
-    /// within a morsel one selection vector is materialised per
-    /// *filter class* — queries whose canonicalised filter sets coincide
-    /// share it — then fed to every member query's own accumulation path
-    /// (vectorised / flat-slot / hashed, the same choice its standalone
-    /// execution makes). Per-query partials merge in morsel-index order,
-    /// so **every result is bit-identical to the query's standalone
-    /// [`QueryEngine::execute_with_view`] execution** — the
-    /// `batch_equivalence` property suite enforces this.
-    ///
-    /// Per-query errors (resolution or scan) come back in the query's
-    /// result slot; one query's failure never poisons its batch mates.
-    pub fn execute_batch_with_view(
-        &self,
-        cube: &Cube,
-        queries: &[Query],
-        view: &InstanceView,
-    ) -> Vec<Result<QueryResult, OlapError>> {
-        self.execute_batch_cached(cube, queries, view, None)
-    }
-
-    /// [`QueryEngine::execute_batch_with_view`] with an optional
-    /// group-key dictionary cache (see
-    /// [`QueryEngine::execute_with_view_cached`]); within the batch,
-    /// dictionaries are shared per attribute even without a cache.
-    pub fn execute_batch_cached(
-        &self,
-        cube: &Cube,
-        queries: &[Query],
-        view: &InstanceView,
-        dicts: Option<(&GroupDictCache, u64)>,
-    ) -> Vec<Result<QueryResult, OlapError>> {
-        self.execute_batch_observed(cube, queries, view, dicts, None)
-    }
-
-    /// [`QueryEngine::execute_batch_cached`] with optional stage timing:
-    /// resolution of the whole batch records once as
-    /// [`Stage::BatchResolve`]; each fact group's shared morsel pass,
-    /// per-query merges and materialisation record as
-    /// [`Stage::BatchScan`] / [`Stage::BatchMerge`] /
-    /// [`Stage::BatchFinalize`]; fact groups slower than the journal
-    /// threshold are journaled as `batch:{fact}×{queries}` records.
-    pub fn execute_batch_observed(
-        &self,
-        cube: &Cube,
-        queries: &[Query],
-        view: &InstanceView,
-        dicts: Option<(&GroupDictCache, u64)>,
-        obs: Option<QueryObs<'_>>,
-    ) -> Vec<Result<QueryResult, OlapError>> {
-        let cancel =
-            CancelToken::with_deadline(self.config.deadline.map(|budget| Instant::now() + budget));
-        self.execute_batch_cancellable(cube, queries, view, dicts, obs, &cancel)
-    }
-
-    /// [`QueryEngine::execute_batch_observed`] against an explicit
-    /// [`CancelToken`]. Fact groups run in sequence, so a deadline that
-    /// trips (or a participant that panics) mid-batch fails the current
-    /// group and every not-yet-scanned group with the typed error,
-    /// while groups that already completed keep their results — the
-    /// positional contract (one result per submitted query) holds on
-    /// every exit path.
-    pub fn execute_batch_cancellable(
-        &self,
-        cube: &Cube,
-        queries: &[Query],
-        view: &InstanceView,
-        dicts: Option<(&GroupDictCache, u64)>,
-        obs: Option<QueryObs<'_>>,
-        cancel: &CancelToken,
-    ) -> Vec<Result<QueryResult, OlapError>> {
-        let tenant = obs.map(|o| o.class).unwrap_or_default();
-        let obs = obs.filter(|o| o.registry.is_enabled());
+        let tenant = options.obs.map(|o| o.class).unwrap_or_default();
+        let obs = options.obs.filter(|o| o.registry.is_enabled());
+        let [resolve_stage, scan_stage, merge_stage, finalize_stage] =
+            obs.map_or(StageFamily::Query, |o| o.family).phases();
         let mut clock = obs.map(|_| Instant::now());
         let mut results: Vec<Option<Result<QueryResult, OlapError>>> =
             (0..queries.len()).map(|_| None).collect();
@@ -819,15 +682,28 @@ impl QueryEngine {
         // Phase 1: resolve and plan every query up front. Resolution
         // errors land in their result slot immediately; the scan only
         // sees the survivors. Group-key dictionaries are memoised per
-        // attribute across the whole batch (and served from `dicts`
-        // across batches, when given).
-        let mut base_lookup = keys_lookup(dicts);
+        // attribute across the whole call (and served from `dicts`
+        // across calls, when given). `GroupKeys::build` is
+        // deterministic, so every source yields interchangeable
+        // dictionaries (and, for a broken attribute, the same error).
         let mut shared_keys: FxHashMap<(String, String, String), Arc<GroupKeys>> =
             FxHashMap::default();
+        let mut lookup = |cube: &Cube, attr: &AttributeRef| -> Result<Arc<GroupKeys>, OlapError> {
+            let key = attr_key(attr);
+            if let Some(keys) = shared_keys.get(&key) {
+                return Ok(Arc::clone(keys));
+            }
+            let keys = match options.dicts {
+                Some((cache, generation)) => cache.get_or_build(generation, cube, attr)?,
+                None => Arc::new(GroupKeys::build(cube, attr)?),
+            };
+            shared_keys.insert(key, Arc::clone(&keys));
+            Ok(keys)
+        };
         let mut groups_by_fact: Vec<FactGroup<'_>> = Vec::new();
         let mut fact_index: HashMap<&str, usize> = HashMap::new();
         for (index, query) in queries.iter().enumerate() {
-            let resolved = match resolve(cube, query) {
+            let resolved = match injected("query.resolve").and_then(|()| resolve(cube, query)) {
                 Ok(resolved) => resolved,
                 Err(error) => {
                     results[index] = Some(Err(error));
@@ -841,15 +717,6 @@ impl QueryEngine {
             let plan = if query.group_by.is_empty() {
                 GroupPlan::ungrouped()
             } else {
-                let mut lookup = |cube: &Cube, attr: &AttributeRef| {
-                    let key = attr_key(attr);
-                    if let Some(keys) = shared_keys.get(&key) {
-                        return Ok(Arc::clone(keys));
-                    }
-                    let keys = base_lookup(cube, attr)?;
-                    shared_keys.insert(key, Arc::clone(&keys));
-                    Ok(keys)
-                };
                 build_group_plan(
                     cube,
                     query,
@@ -911,12 +778,12 @@ impl QueryEngine {
         let resolve_micros = lap(&mut clock);
         if let Some(o) = obs {
             o.registry
-                .record_micros(Stage::BatchResolve, o.class, resolve_micros);
+                .record_micros(resolve_stage, o.class, resolve_micros);
         }
 
-        // Phase 3: one morsel-parallel pass per fact group, every worker
-        // producing all member queries' partials for its morsels; then
-        // per-query merges in morsel order (identical to standalone).
+        // Phase 3: one morsel-parallel pass per fact group, every
+        // participant producing all member queries' partials for its
+        // morsels; then per-query merges in morsel order.
         for group in &groups_by_fact {
             let fact_table = &cube
                 .fact_table(group.fact)
@@ -931,7 +798,7 @@ impl QueryEngine {
                 .clamp(1, morsel_count.max(1));
             let next_morsel = AtomicUsize::new(0);
             let scan_morsels = || {
-                scan_assigned_batch_morsels(
+                scan_claimed_morsels(
                     cube,
                     view,
                     group,
@@ -943,19 +810,8 @@ impl QueryEngine {
                     cancel,
                 )
             };
-            let collected: Vec<(usize, Vec<Result<MorselPartial, OlapError>>)> = if workers <= 1 {
-                run_contained(cancel, &scan_morsels)
-            } else if let Some(pool) = &self.pool {
-                run_pooled(pool, tenant, workers - 1, cancel, &scan_morsels)
-            } else {
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..workers).map(|_| scope.spawn(scan_morsels)).collect();
-                    handles
-                        .into_iter()
-                        .flat_map(|handle| handle.join().expect("batch morsel worker panicked"))
-                        .collect()
-                })
-            };
+            let pool = self.pool.as_deref().filter(|_| workers > 1);
+            let collected = run_participants(pool, tenant, workers - 1, cancel, &scan_morsels);
             let mut per_query: Vec<Vec<(usize, Result<MorselPartial, OlapError>)>> = group
                 .queries
                 .iter()
@@ -967,69 +823,58 @@ impl QueryEngine {
                 }
             }
             let scan_micros = lap(&mut clock);
-            // A token that tripped during this group's scan: its
-            // members (and every group not yet scanned) fail with the
-            // typed error; groups that already finished keep their
-            // results. Journaled unconditionally with the terminal
-            // stage marked, like the standalone path.
-            if let Some(error) = cancel.terminal_error() {
-                if let Some(o) = obs {
-                    o.registry
-                        .record_micros(Stage::BatchScan, o.class, scan_micros);
-                    o.registry.journal().record(SlowQueryRecord {
-                        shape: format!("batch:{}×{}", group.fact, group.queries.len()),
-                        class: o.registry.class_name(o.class),
-                        generation: o.generation,
-                        workers,
-                        resolve_micros,
-                        scan_micros,
-                        merge_micros: 0,
-                        finalize_micros: 0,
-                        total_micros: resolve_micros + scan_micros,
-                        outcome: journal_outcome(&error).to_string(),
-                    });
+            // Terminal-state check, not a clock check: a deadline that
+            // expires *after* the last morsel was scanned no longer fails
+            // the group, but a tripped token means morsel indices were
+            // consumed without being scanned — merging would silently
+            // produce wrong results. The group's members (and every
+            // group not yet scanned) fail with the typed error; groups
+            // that already finished keep their results.
+            let terminal = cancel.terminal_error();
+            let (merge_micros, finalize_micros) = match &terminal {
+                Some(error) => {
+                    for slot in results.iter_mut().filter(|slot| slot.is_none()) {
+                        *slot = Some(Err(error.clone()));
+                    }
+                    (0, 0)
                 }
-                for slot in results.iter_mut().filter(|slot| slot.is_none()) {
-                    *slot = Some(Err(error.clone()));
+                None => {
+                    // Merge every member's partials first, materialise
+                    // second, so the two phases time separately (merges
+                    // and materialisations are independent per member).
+                    let merged: Vec<_> = group
+                        .queries
+                        .iter()
+                        .zip(per_query)
+                        .map(|(member, partials)| {
+                            injected("query.merge")?;
+                            merge_partials(&member.resolved, &member.plan, partials)
+                        })
+                        .collect();
+                    let merge_micros = lap(&mut clock);
+                    for (member, outcome) in group.queries.iter().zip(merged) {
+                        results[member.index] = Some(outcome.map(|(rows, scanned, matched)| {
+                            materialise(member.query, &member.resolved, rows, scanned, matched)
+                        }));
+                    }
+                    (merge_micros, lap(&mut clock))
                 }
-                break;
-            }
-            // Merge every member's partials first, materialise second, so
-            // the two phases time separately (the work is identical to
-            // the interleaved loop — merges and materialisations are
-            // independent per member).
-            let merged: Vec<_> = group
-                .queries
-                .iter()
-                .zip(per_query)
-                .map(|(member, partials)| merge_partials(&member.resolved, &member.plan, partials))
-                .collect();
-            let merge_micros = lap(&mut clock);
-            for (member, outcome) in group.queries.iter().zip(merged) {
-                results[member.index] =
-                    Some(outcome.map(|(rows, facts_scanned, facts_matched)| {
-                        materialise(
-                            member.query,
-                            &member.resolved,
-                            rows,
-                            facts_scanned,
-                            facts_matched,
-                        )
-                    }));
-            }
-            let finalize_micros = lap(&mut clock);
+            };
+            // An abnormal exit is journaled unconditionally (slow or not)
+            // with its terminal stage marked, so cancelled and panicked
+            // queries never vanish from the operator's view.
             if let Some(o) = obs {
-                o.registry
-                    .record_micros(Stage::BatchScan, o.class, scan_micros);
-                o.registry
-                    .record_micros(Stage::BatchMerge, o.class, merge_micros);
-                o.registry
-                    .record_micros(Stage::BatchFinalize, o.class, finalize_micros);
+                o.registry.record_micros(scan_stage, o.class, scan_micros);
+                if terminal.is_none() {
+                    o.registry.record_micros(merge_stage, o.class, merge_micros);
+                    o.registry
+                        .record_micros(finalize_stage, o.class, finalize_micros);
+                }
                 let total_micros = resolve_micros + scan_micros + merge_micros + finalize_micros;
                 let journal = o.registry.journal();
-                if journal.is_slow(total_micros) {
+                if terminal.is_some() || journal.is_slow(total_micros) {
                     journal.record(SlowQueryRecord {
-                        shape: format!("batch:{}×{}", group.fact, group.queries.len()),
+                        shape: o.family.shape(group),
                         class: o.registry.class_name(o.class),
                         generation: o.generation,
                         workers,
@@ -1038,27 +883,27 @@ impl QueryEngine {
                         merge_micros,
                         finalize_micros,
                         total_micros,
-                        outcome: sdwp_obs::OUTCOME_COMPLETED.to_string(),
+                        outcome: terminal
+                            .as_ref()
+                            .map_or(sdwp_obs::OUTCOME_COMPLETED, journal_outcome)
+                            .to_string(),
                     });
                 }
+            }
+            if terminal.is_some() {
+                break;
             }
         }
         results
             .into_iter()
-            .map(|result| result.expect("every batch query resolved or executed"))
+            .map(|result| result.expect("every query resolved or executed"))
             .collect()
     }
 
-    /// Executes a query serially, without personalization — the
-    /// row-at-a-time reference implementation.
-    pub fn execute_serial(&self, cube: &Cube, query: &Query) -> Result<QueryResult, OlapError> {
-        self.execute_serial_with_view(cube, query, &InstanceView::unrestricted())
-    }
-
     /// Executes a query through a view with the classic single-threaded
-    /// row-at-a-time loop. This is the reference implementation the
-    /// parallel-equivalence property suite compares
-    /// [`QueryEngine::execute_with_view`] against.
+    /// row-at-a-time loop. This is the reference implementation (the
+    /// test oracle) the equivalence property suites compare
+    /// [`QueryEngine::execute`] against.
     pub fn execute_serial_with_view(
         &self,
         cube: &Cube,
@@ -1089,25 +934,23 @@ impl QueryEngine {
             facts_matched,
         ))
     }
+}
 
-    /// Convenience: total of a single measure over the (possibly
-    /// personalized) cube, with no grouping.
-    pub fn total(
-        &self,
-        cube: &Cube,
-        fact: &str,
-        measure: &str,
-        view: &InstanceView,
-    ) -> Result<f64, OlapError> {
-        let query = Query::over(fact).measure(measure);
-        let result = self.execute_with_view(cube, &query, view)?;
-        Ok(result
-            .rows
-            .first()
-            .and_then(|r| r.values.first())
-            .and_then(CellValue::as_number)
-            .unwrap_or(0.0))
+/// Evaluates a failpoint whose armed `Error` action becomes the typed
+/// [`OlapError::InvalidQuery`] of the query (or morsel) at the site.
+/// Compiles to `Ok(())` without the `failpoints` feature.
+#[inline(always)]
+fn injected(site: &str) -> Result<(), OlapError> {
+    #[cfg(feature = "failpoints")]
+    {
+        if let Some(message) = crate::fault::eval(site) {
+            return Err(OlapError::InvalidQuery {
+                message: format!("injected: {message}"),
+            });
+        }
     }
+    let _ = site;
+    Ok(())
 }
 
 /// Validates the query against the cube's schema and pre-computes the
@@ -1225,25 +1068,9 @@ fn resolve<'q>(cube: &Cube, query: &'q Query) -> Result<Resolved<'q>, OlapError>
     })
 }
 
-/// The group planner's source of dimension-side dictionaries: a plain
-/// per-query build, the generation-keyed [`GroupDictCache`], or a
-/// batch-local memo layered on top of either. [`GroupKeys::build`] is
-/// deterministic, so every source yields interchangeable dictionaries
-/// (and, for a broken attribute, the same error).
-type KeysLookup<'a> = dyn FnMut(&Cube, &AttributeRef) -> Result<Arc<GroupKeys>, OlapError> + 'a;
-
-fn keys_lookup<'a>(
-    dicts: Option<(&'a GroupDictCache, u64)>,
-) -> impl FnMut(&Cube, &AttributeRef) -> Result<Arc<GroupKeys>, OlapError> + 'a {
-    move |cube, attr| match dicts {
-        Some((cache, generation)) => cache.get_or_build(generation, cube, attr),
-        None => GroupKeys::build(cube, attr).map(Arc::new),
-    }
-}
-
 /// Builds the grouped execution plan: one dense dictionary per group-by
-/// attribute (obtained through `lookup` — built, memoised within a
-/// batch, or served from the generation-keyed cache) plus the
+/// attribute (obtained through `lookup` — built, memoised within the
+/// call, or served from the generation-keyed cache) plus the
 /// flat-vs-hashed decision. Never fails — a dictionary that cannot be
 /// built (a schema attribute with no backing column, impossible for cubes
 /// loaded through [`Cube`]'s constructors) is recorded and replayed with
@@ -1254,7 +1081,7 @@ fn build_group_plan(
     fact_table: &Table,
     resolved: &Resolved<'_>,
     group_slot_limit: usize,
-    lookup: &mut KeysLookup<'_>,
+    lookup: &mut impl FnMut(&Cube, &AttributeRef) -> Result<Arc<GroupKeys>, OlapError>,
 ) -> GroupPlan {
     let mut dicts = Vec::with_capacity(query.group_by.len());
     let mut error = None;
@@ -1291,7 +1118,7 @@ fn build_group_plan(
 /// Scans one contiguous row range, accumulating into `groups` — the
 /// row-at-a-time **serial reference**: every value goes through
 /// [`Table::get`]'s `CellValue` materialisation. The morsel pipeline's
-/// typed and vectorised scans ([`scan_morsel`]) must stay observably
+/// typed and vectorised scans ([`scan_group_morsel`]) must stay observably
 /// equivalent to this loop — same groups, same counters, same error for
 /// the same first failing row — which the storage-equivalence and
 /// parallel-equivalence property suites enforce.
@@ -1385,62 +1212,6 @@ fn scan_range(
         }
     }
     Ok((facts_scanned, facts_matched))
-}
-
-/// One morsel of the parallel pipeline. Dispatches between the
-/// vectorised kernel path (no grouping, all measures numeric), the flat
-/// dense-slot grouped path, and the integer-keyed hashed path; all are
-/// equivalent to [`scan_range`] — the serial reference the property
-/// suites compare against — by the shared per-row selection semantics
-/// and, for floats, by summing in ascending row order within the morsel.
-#[allow(clippy::too_many_arguments)]
-fn scan_morsel(
-    cube: &Cube,
-    query: &Query,
-    view: &InstanceView,
-    resolved: &Resolved<'_>,
-    plan: &GroupPlan,
-    fact_table: &Table,
-    rows: Range<usize>,
-    sel: &mut Vec<u32>,
-    scratch: &mut Option<FlatScratch>,
-) -> Result<MorselPartial, OlapError> {
-    if resolved.vectorised {
-        let mut groups = Vec::new();
-        let (facts_scanned, facts_matched) =
-            scan_morsel_vectorised(cube, query, view, resolved, fact_table, rows, &mut groups)?;
-        Ok(MorselPartial {
-            groups: MorselGroups::Keyed(groups),
-            facts_scanned,
-            facts_matched,
-        })
-    } else {
-        // Selection first (shared with the batch executor), then the
-        // grouped accumulation path the plan chose.
-        let (facts_scanned, facts_matched) =
-            select_rows(cube, query, view, resolved, fact_table, rows, sel)?;
-        if let Some(scratch) = scratch {
-            accumulate_flat(
-                cube,
-                query,
-                resolved,
-                plan,
-                fact_table,
-                sel,
-                facts_scanned,
-                facts_matched,
-                scratch,
-            )
-        } else {
-            let mut groups = Vec::new();
-            accumulate_hashed(cube, query, resolved, plan, fact_table, sel, &mut groups)?;
-            Ok(MorselPartial {
-                groups: MorselGroups::Keyed(groups),
-                facts_scanned,
-                facts_matched,
-            })
-        }
-    }
 }
 
 /// Materialises one morsel's selection vector — the surviving row ids
@@ -1838,73 +1609,6 @@ fn accumulate_run(
     }
 }
 
-/// The vectorised morsel scan for ungrouped all-numeric aggregates: the
-/// morsel's selected rows are gathered into maximal contiguous runs and
-/// each run is aggregated by the per-chunk slice kernels. When nothing
-/// restricts the scan (no view, no filters), tombstone gaps are the only
-/// run boundaries and no per-row work happens at all.
-fn scan_morsel_vectorised(
-    cube: &Cube,
-    query: &Query,
-    view: &InstanceView,
-    resolved: &Resolved<'_>,
-    fact_table: &Table,
-    rows: Range<usize>,
-    groups: &mut Vec<(GroupId, Vec<Accumulator>)>,
-) -> Result<(usize, usize), OlapError> {
-    let mut partials: Vec<NumericAgg> = vec![NumericAgg::default(); resolved.plans.len()];
-    let mut facts_scanned = 0usize;
-    let mut facts_matched = 0usize;
-
-    let unrestricted = view.is_unrestricted()
-        && resolved.allowed_members.is_empty()
-        && query.fact_filter.is_none();
-    if unrestricted {
-        for run in fact_table.live_runs(rows) {
-            facts_scanned += run.len();
-            facts_matched += run.len();
-            accumulate_run(fact_table, resolved, &mut partials, run);
-        }
-    } else {
-        // Per-row selection (the shared `row_selected` mirrors
-        // `scan_range`'s check order and error behaviour), gathering
-        // selected rows into runs.
-        let view_check = resolve_view_check(cube, query, view)?;
-        let end = rows.end;
-        let mut run_start: Option<usize> = None;
-        for fact_row in rows {
-            let selected = row_selected(
-                cube,
-                query,
-                view_check.as_ref(),
-                resolved,
-                fact_table,
-                fact_row,
-                &mut facts_scanned,
-                &mut facts_matched,
-            )?;
-            match (selected, run_start) {
-                (true, None) => run_start = Some(fact_row),
-                (false, Some(start)) => {
-                    accumulate_run(fact_table, resolved, &mut partials, start..fact_row);
-                    run_start = None;
-                }
-                _ => {}
-            }
-        }
-        if let Some(start) = run_start {
-            accumulate_run(fact_table, resolved, &mut partials, start..end);
-        }
-    }
-
-    // Like the reference loop, the single (ungrouped) group exists only
-    // when at least one row matched.
-    if facts_matched > 0 {
-        groups.push((GroupId::Packed(0), absorb_partials(resolved, &partials)));
-    }
-    Ok((facts_scanned, facts_matched))
-}
-
 /// One accumulator per measure, seeded from the kernels' partial states.
 fn absorb_partials(resolved: &Resolved<'_>, partials: &[NumericAgg]) -> Vec<Accumulator> {
     resolved
@@ -1919,10 +1623,8 @@ fn absorb_partials(resolved: &Resolved<'_>, partials: &[NumericAgg]) -> Vec<Accu
         .collect()
 }
 
-/// Maximal contiguous runs of a sorted selection vector — the batch
-/// path's equivalent of [`scan_morsel_vectorised`]'s inline run
-/// detection, so both feed the slice kernels identical sub-slices (and
-/// therefore produce bit-identical float partials).
+/// Maximal contiguous runs of a sorted selection vector, which the
+/// vectorised path feeds to the slice kernels one run at a time.
 fn selection_runs(sel: &[u32]) -> Vec<Range<usize>> {
     let mut runs = Vec::new();
     let mut rows = sel.iter().map(|&row| row as usize);
@@ -1942,8 +1644,10 @@ fn selection_runs(sel: &[u32]) -> Vec<Range<usize>> {
     runs
 }
 
-/// The vectorised ungrouped partial over pre-computed selected-row runs
-/// (the batch path; counters come from the shared class selection).
+/// The vectorised partial of an ungrouped all-numeric query over the
+/// morsel's selected-row runs (counters come from the shared class
+/// selection). When nothing restricts the scan, tombstone gaps are the
+/// only run boundaries and no per-row work happens at all.
 fn vectorised_partial(
     fact_table: &Table,
     resolved: &Resolved<'_>,
@@ -1966,81 +1670,15 @@ fn vectorised_partial(
     }
 }
 
-/// The per-worker loop of the parallel pipeline: pulls morsel indices
-/// from the shared counter until the table is exhausted, producing one
-/// partial aggregate per morsel. A morsel that errors records the error
-/// and the worker moves on, so the merge phase can always report the
-/// error of the *lowest-indexed* failing morsel — the same error the
-/// serial reference reports.
+/// The per-participant loop of the pipeline: pulls morsel indices from
+/// the shared counter until the fact table is exhausted, scanning each
+/// claimed morsel once for the whole fact group — one selection per
+/// filter class, one partial per member query. A morsel that errors
+/// records the error and the participant moves on, so the merge phase
+/// can always report the error of the *lowest-indexed* failing morsel —
+/// the same error the serial reference reports.
 #[allow(clippy::too_many_arguments)]
-fn scan_assigned_morsels(
-    cube: &Cube,
-    query: &Query,
-    view: &InstanceView,
-    resolved: &Resolved<'_>,
-    plan: &GroupPlan,
-    fact_table: &Table,
-    next_morsel: &AtomicUsize,
-    morsel_count: usize,
-    morsel_rows: usize,
-    total_rows: usize,
-    cancel: &CancelToken,
-) -> Vec<(usize, Result<MorselPartial, OlapError>)> {
-    let mut out = Vec::new();
-    // Worker-local selection and flat-slot buffers, sized once and
-    // reused across this worker's morsels (the slot state resets through
-    // the touched list, not by clearing whole slot vectors).
-    let mut sel: Vec<u32> = Vec::new();
-    let mut scratch = plan.flat.map(|slots| FlatScratch::new(resolved, slots));
-    loop {
-        let morsel = next_morsel.fetch_add(1, Ordering::Relaxed);
-        if morsel >= morsel_count {
-            break;
-        }
-        // Checked after the bounds check, so a trip observed here means
-        // a claimed morsel index goes unscanned — which is exactly what
-        // forces the executor's terminal-state bail-out. (A participant
-        // arriving after exhaustion must not trip the token: the query
-        // completed.)
-        if cancel.check().is_err() {
-            break;
-        }
-        #[cfg(feature = "failpoints")]
-        {
-            if let Some(message) = crate::fault::eval("query.scan.morsel") {
-                out.push((
-                    morsel,
-                    Err(OlapError::InvalidQuery {
-                        message: format!("injected: {message}"),
-                    }),
-                ));
-                continue;
-            }
-        }
-        let start = morsel * morsel_rows;
-        let end = (start + morsel_rows).min(total_rows);
-        let partial = scan_morsel(
-            cube,
-            query,
-            view,
-            resolved,
-            plan,
-            fact_table,
-            start..end,
-            &mut sel,
-            &mut scratch,
-        );
-        out.push((morsel, partial));
-    }
-    out
-}
-
-/// The per-worker loop of the batch pipeline: like
-/// [`scan_assigned_morsels`], but each pulled morsel is scanned once for
-/// the whole fact group — one selection per filter class, one partial
-/// per member query.
-#[allow(clippy::too_many_arguments)]
-fn scan_assigned_batch_morsels(
+fn scan_claimed_morsels(
     cube: &Cube,
     view: &InstanceView,
     group: &FactGroup<'_>,
@@ -2052,6 +1690,9 @@ fn scan_assigned_batch_morsels(
     cancel: &CancelToken,
 ) -> Vec<(usize, Vec<Result<MorselPartial, OlapError>>)> {
     let mut out = Vec::new();
+    // Participant-local selection and flat-slot buffers, sized once and
+    // reused across this participant's morsels (the slot state resets
+    // through the touched list, not by clearing whole slot vectors).
     let mut sels: Vec<Vec<u32>> = group.classes.iter().map(|_| Vec::new()).collect();
     let mut scratches: Vec<Option<FlatScratch>> = group
         .queries
@@ -2068,31 +1709,24 @@ fn scan_assigned_batch_morsels(
         if morsel >= morsel_count {
             break;
         }
-        // Same ordering discipline as `scan_assigned_morsels`.
+        // Checked after the bounds check, so a trip observed here means
+        // a claimed morsel index goes unscanned — which is exactly what
+        // forces the executor's terminal-state bail-out. (A participant
+        // arriving after exhaustion must not trip the token: the scan
+        // completed.)
         if cancel.check().is_err() {
             break;
         }
-        #[cfg(feature = "failpoints")]
-        {
-            if let Some(message) = crate::fault::eval("query.batch.morsel") {
-                out.push((
-                    morsel,
-                    group
-                        .queries
-                        .iter()
-                        .map(|_| {
-                            Err(OlapError::InvalidQuery {
-                                message: format!("injected: {message}"),
-                            })
-                        })
-                        .collect(),
-                ));
-                continue;
-            }
+        if let Err(error) = injected("query.scan.morsel") {
+            out.push((
+                morsel,
+                group.queries.iter().map(|_| Err(error.clone())).collect(),
+            ));
+            continue;
         }
         let start = morsel * morsel_rows;
         let end = (start + morsel_rows).min(total_rows);
-        let partials = scan_batch_morsel(
+        let partials = scan_group_morsel(
             cube,
             view,
             group,
@@ -2115,13 +1749,13 @@ struct ClassSelection {
     runs: Option<Vec<Range<usize>>>,
 }
 
-/// One morsel of the batch pipeline: selection once per filter class,
-/// then each member query's own accumulation path over its class's
-/// shared selection. Returns one partial per member query, in group
-/// order. A selection error is the whole class's error (each member
-/// would have hit it at the same row standalone); accumulation errors
-/// stay per query.
-fn scan_batch_morsel(
+/// One morsel of the pipeline: selection once per filter class, then
+/// each member query's own accumulation path (vectorised / flat-slot /
+/// hashed) over its class's shared selection. Returns one partial per
+/// member query, in group order. A selection error is the whole class's
+/// error (each member would have hit it at the same row alone);
+/// accumulation errors stay per query.
+fn scan_group_morsel(
     cube: &Cube,
     view: &InstanceView,
     group: &FactGroup<'_>,
@@ -2236,12 +1870,12 @@ fn scan_batch_morsel(
         .collect()
 }
 
-/// Merges per-morsel partials **in morsel-index order** into final group
-/// rows plus the query's counters — shared verbatim by the standalone
-/// and batch executors, so a batched query combines its accumulator
-/// state (and reports the lowest-indexed morsel's error) exactly as its
-/// standalone execution does. The merge works entirely on integer group
-/// ids; key cells are decoded only for the groups that survive.
+/// Merges one query's per-morsel partials **in morsel-index order** into
+/// final group rows plus the query's counters, so the query combines its
+/// accumulator state (and reports the lowest-indexed morsel's error)
+/// identically whatever the worker count and whatever its batch mates.
+/// The merge works entirely on integer group ids; key cells are decoded
+/// only for the groups that survive.
 ///
 /// On the flat path the merge state is keyed by touched slot (a fast
 /// integer-hashed index into first-occurrence-ordered live-group
@@ -2339,7 +1973,7 @@ fn merge_partials(
 }
 
 /// Finalises the group rows — `(key cells, accumulators)` pairs from
-/// either executor — into a sorted, limited result.
+/// the pipeline or the serial reference — into a sorted, limited result.
 fn materialise(
     query: &Query,
     resolved: &Resolved<'_>,
@@ -2383,6 +2017,28 @@ mod tests {
     use crate::query::AttributeRef;
     use sdwp_geometry::Point;
     use sdwp_model::{AttributeType, DimensionBuilder, FactBuilder, SchemaBuilder};
+
+    /// One query through [`QueryEngine::execute`], as a batch of one.
+    fn run(engine: &QueryEngine, cube: &Cube, query: &Query) -> Result<QueryResult, OlapError> {
+        run_with(engine, cube, query, &ExecOptions::default())
+    }
+
+    fn run_with(
+        engine: &QueryEngine,
+        cube: &Cube,
+        query: &Query,
+        options: &ExecOptions<'_>,
+    ) -> Result<QueryResult, OlapError> {
+        let mut results = engine.execute(cube, std::slice::from_ref(query), options);
+        assert_eq!(results.len(), 1);
+        results.pop().expect("one result per query")
+    }
+
+    /// The serial reference through `view`.
+    fn oracle(cube: &Cube, query: &Query, view: &InstanceView) -> Result<QueryResult, OlapError> {
+        QueryEngine::with_config(ExecutionConfig::serial())
+            .execute_serial_with_view(cube, query, view)
+    }
 
     /// Builds a small sales cube: 4 stores in 2 cities, 3 days, one fact
     /// row per (store, day) with UnitSales = store index + 1.
@@ -2458,7 +2114,7 @@ mod tests {
         let query = Query::over("Sales")
             .group_by(AttributeRef::new("Store", "City", "name"))
             .measure("UnitSales");
-        let result = engine.execute(&cube, &query).unwrap();
+        let result = run(&engine, &cube, &query).unwrap();
         assert_eq!(result.len(), 2);
         // Alicante: stores 0 and 1 → (1 + 2) * 3 days = 9.
         let alicante = result.find(&[CellValue::from("Alicante")]).unwrap();
@@ -2477,18 +2133,12 @@ mod tests {
         let query = Query::over("Sales")
             .measure("UnitSales")
             .measure("StoreCost");
-        let result = engine.execute(&cube, &query).unwrap();
+        let result = run(&engine, &cube, &query).unwrap();
         assert_eq!(result.len(), 1);
         assert_eq!(result.rows[0].values[0], CellValue::Float(30.0));
         // StoreCost uses its default AVG aggregation: mean of 10,20,30,40
         // over 3 days each = 25.
         assert_eq!(result.rows[0].values[1], CellValue::Float(25.0));
-        assert_eq!(
-            engine
-                .total(&cube, "Sales", "UnitSales", &InstanceView::unrestricted())
-                .unwrap(),
-            30.0
-        );
     }
 
     #[test]
@@ -2499,7 +2149,7 @@ mod tests {
             .group_by(AttributeRef::new("Store", "Store", "name"))
             .measure("UnitSales")
             .filter_dimension("Store", Filter::eq("City.name", "Alicante"));
-        let result = engine.execute(&cube, &query).unwrap();
+        let result = run(&engine, &cube, &query).unwrap();
         assert_eq!(result.len(), 2);
         assert_eq!(result.facts_matched, 6);
     }
@@ -2513,7 +2163,7 @@ mod tests {
             "Store",
             Filter::within_km("Store.geometry", Point::new(0.0, 0.0).into(), 15.0),
         );
-        let result = engine.execute(&cube, &query).unwrap();
+        let result = run(&engine, &cube, &query).unwrap();
         assert_eq!(result.rows[0].values[0], CellValue::Float(9.0));
     }
 
@@ -2524,15 +2174,15 @@ mod tests {
         let mut view = InstanceView::unrestricted();
         view.select_dimension_members("Store", vec![0, 1]);
         let query = Query::over("Sales").measure("UnitSales");
-        let via_view = engine.execute_with_view(&cube, &query, &view).unwrap();
-        let via_filter = engine
-            .execute(
-                &cube,
-                &Query::over("Sales")
-                    .measure("UnitSales")
-                    .filter_dimension("Store", Filter::eq("City.name", "Alicante")),
-            )
-            .unwrap();
+        let via_view = run_with(&engine, &cube, &query, &ExecOptions::with_view(&view)).unwrap();
+        let via_filter = run(
+            &engine,
+            &cube,
+            &Query::over("Sales")
+                .measure("UnitSales")
+                .filter_dimension("Store", Filter::eq("City.name", "Alicante")),
+        )
+        .unwrap();
         assert_eq!(via_view.rows[0].values[0], via_filter.rows[0].values[0]);
         // The view reduces the number of facts even scanned.
         assert_eq!(via_view.facts_scanned, 6);
@@ -2550,7 +2200,7 @@ mod tests {
                 op: crate::filter::CompareOp::Ge,
                 value: CellValue::Float(3.0),
             });
-        let result = engine.execute(&cube, &query).unwrap();
+        let result = run(&engine, &cube, &query).unwrap();
         // Stores 2 and 3 have UnitSales 3 and 4, over 3 days each.
         assert_eq!(result.rows[0].values[0], CellValue::Integer(6));
     }
@@ -2563,9 +2213,9 @@ mod tests {
             .group_by(AttributeRef::new("Store", "City", "name"))
             .group_by(AttributeRef::new("Time", "Day", "date"))
             .measure("UnitSales");
-        let full = engine.execute(&cube, &query).unwrap();
+        let full = run(&engine, &cube, &query).unwrap();
         assert_eq!(full.len(), 6); // 2 cities x 3 days
-        let limited = engine.execute(&cube, &query.clone().limit(4)).unwrap();
+        let limited = run(&engine, &cube, &query.clone().limit(4)).unwrap();
         assert_eq!(limited.len(), 4);
     }
 
@@ -2573,43 +2223,38 @@ mod tests {
     fn error_cases() {
         let cube = sales_cube();
         let engine = QueryEngine::new();
-        assert!(engine
-            .execute(&cube, &Query::over("Returns").measure("UnitSales"))
-            .is_err());
-        assert!(engine.execute(&cube, &Query::over("Sales")).is_err());
-        assert!(engine
-            .execute(&cube, &Query::over("Sales").measure("Profit"))
-            .is_err());
-        assert!(engine
-            .execute(
-                &cube,
-                &Query::over("Sales")
-                    .measure("UnitSales")
-                    .group_by(AttributeRef::new("Customer", "Customer", "name"))
-            )
-            .is_err());
-        assert!(engine
-            .execute(
-                &cube,
-                &Query::over("Sales")
-                    .measure("UnitSales")
-                    .group_by(AttributeRef::new("Store", "Country", "name"))
-            )
-            .is_err());
-        assert!(engine
-            .execute(
-                &cube,
-                &Query::over("Sales")
-                    .measure("UnitSales")
-                    .filter_dimension("Customer", Filter::All)
-            )
-            .is_err());
+        assert!(run(&engine, &cube, &Query::over("Returns").measure("UnitSales")).is_err());
+        assert!(run(&engine, &cube, &Query::over("Sales")).is_err());
+        assert!(run(&engine, &cube, &Query::over("Sales").measure("Profit")).is_err());
+        assert!(run(
+            &engine,
+            &cube,
+            &Query::over("Sales")
+                .measure("UnitSales")
+                .group_by(AttributeRef::new("Customer", "Customer", "name"))
+        )
+        .is_err());
+        assert!(run(
+            &engine,
+            &cube,
+            &Query::over("Sales")
+                .measure("UnitSales")
+                .group_by(AttributeRef::new("Store", "Country", "name"))
+        )
+        .is_err());
+        assert!(run(
+            &engine,
+            &cube,
+            &Query::over("Sales")
+                .measure("UnitSales")
+                .filter_dimension("Customer", Filter::All)
+        )
+        .is_err());
     }
 
     #[test]
     fn parallel_matches_serial_on_the_sales_cube() {
         let cube = sales_cube();
-        let serial = QueryEngine::with_config(ExecutionConfig::serial());
         let queries = [
             Query::over("Sales")
                 .group_by(AttributeRef::new("Store", "City", "name"))
@@ -2632,8 +2277,8 @@ mod tests {
             );
             for query in &queries {
                 assert_eq!(
-                    parallel.execute(&cube, query).unwrap(),
-                    serial.execute_serial(&cube, query).unwrap(),
+                    run(&parallel, &cube, query).unwrap(),
+                    oracle(&cube, query, &InstanceView::unrestricted()).unwrap(),
                     "workers={workers}"
                 );
             }
@@ -2651,7 +2296,7 @@ mod tests {
                 .with_workers(4)
                 .with_morsel_rows(2),
         );
-        let result = engine.execute_with_view(&cube, &query, &view).unwrap();
+        let result = run_with(&engine, &cube, &query, &ExecOptions::with_view(&view)).unwrap();
         assert_eq!(result.rows[0].values[0], CellValue::Float(9.0));
         assert_eq!(result.facts_scanned, 6);
         assert_eq!(
@@ -2669,21 +2314,16 @@ mod tests {
             .group_by(AttributeRef::new("Store", "City", "name"))
             .measure("UnitSales")
             .measure_agg("StoreCost", AggregationFunction::Avg);
-        let reference = QueryEngine::with_config(
-            ExecutionConfig::default()
-                .with_workers(1)
-                .with_morsel_rows(3),
-        )
-        .execute(&cube, &query)
-        .unwrap();
-        for workers in [2usize, 3, 8] {
-            let result = QueryEngine::with_config(
+        let engine = |workers: usize| {
+            QueryEngine::with_config(
                 ExecutionConfig::default()
                     .with_workers(workers)
                     .with_morsel_rows(3),
             )
-            .execute(&cube, &query)
-            .unwrap();
+        };
+        let reference = run(&engine(1), &cube, &query).unwrap();
+        for workers in [2usize, 3, 8] {
+            let result = run(&engine(workers), &cube, &query).unwrap();
             assert_eq!(result, reference, "workers={workers}");
         }
     }
@@ -2704,7 +2344,7 @@ mod tests {
                 .with_workers(4)
                 .with_morsel_rows(2),
         );
-        let result = parallel.execute(&cube, &query).unwrap();
+        let result = run(&parallel, &cube, &query).unwrap();
         // Alicante keeps only store 1 (2.0 × 3 days); Madrid loses one
         // store-2 row (3+4)*3 - 3 = 18.
         assert_eq!(
@@ -2718,9 +2358,7 @@ mod tests {
         assert_eq!(result.facts_scanned, 8);
         assert_eq!(
             result,
-            QueryEngine::with_config(ExecutionConfig::serial())
-                .execute_serial(&cube, &query)
-                .unwrap()
+            oracle(&cube, &query, &InstanceView::unrestricted()).unwrap()
         );
     }
 
@@ -2732,7 +2370,6 @@ mod tests {
                 .with_workers(8)
                 .with_morsel_rows(1),
         );
-        let serial = QueryEngine::with_config(ExecutionConfig::serial());
         let bad_queries = [
             Query::over("Returns").measure("UnitSales"),
             Query::over("Sales"),
@@ -2742,8 +2379,8 @@ mod tests {
                 .filter_fact(Filter::eq("ghost", "x")),
         ];
         for query in &bad_queries {
-            let a = parallel.execute(&cube, query).unwrap_err();
-            let b = serial.execute_serial(&cube, query).unwrap_err();
+            let a = run(&parallel, &cube, query).unwrap_err();
+            let b = oracle(&cube, query, &InstanceView::unrestricted()).unwrap_err();
             assert_eq!(format!("{a}"), format!("{b}"));
         }
     }
@@ -2785,14 +2422,14 @@ mod tests {
             .unwrap();
         let cube = Cube::new(schema);
         let engine = QueryEngine::new();
-        let result = engine
-            .execute(
-                &cube,
-                &Query::over("Sales")
-                    .group_by(AttributeRef::new("Store", "Store", "name"))
-                    .measure("UnitSales"),
-            )
-            .unwrap();
+        let result = run(
+            &engine,
+            &cube,
+            &Query::over("Sales")
+                .group_by(AttributeRef::new("Store", "Store", "name"))
+                .measure("UnitSales"),
+        )
+        .unwrap();
         assert!(result.is_empty());
         assert_eq!(result.facts_scanned, 0);
     }
@@ -2827,10 +2464,13 @@ mod tests {
         ]
     }
 
+    /// Batch ≡ each member executed standalone (as a batch of one) ≡ the
+    /// serial oracle, at every worker count and on both grouped paths.
     #[test]
     fn batch_matches_standalone_execution() {
         let cube = sales_cube();
         let queries = dashboard_batch();
+        let view = InstanceView::unrestricted();
         for workers in [1usize, 2, 8] {
             for slot_limit in [0usize, DEFAULT_GROUP_SLOT_LIMIT] {
                 let engine = QueryEngine::with_config(
@@ -2839,15 +2479,16 @@ mod tests {
                         .with_morsel_rows(4)
                         .with_group_slot_limit(slot_limit),
                 );
-                let batched = engine.execute_batch(&cube, &queries);
+                let batched = engine.execute(&cube, &queries, &ExecOptions::default());
                 assert_eq!(batched.len(), queries.len());
                 for (query, batched) in queries.iter().zip(&batched) {
-                    let standalone = engine.execute(&cube, query).unwrap();
+                    let alone = run(&engine, &cube, query).unwrap();
                     assert_eq!(
                         batched.as_ref().unwrap(),
-                        &standalone,
+                        &alone,
                         "workers={workers} slot_limit={slot_limit}"
                     );
+                    assert_eq!(alone, oracle(&cube, query, &view).unwrap());
                 }
             }
         }
@@ -2863,15 +2504,15 @@ mod tests {
                 .with_workers(4)
                 .with_morsel_rows(2),
         );
+        let options = ExecOptions::with_view(&view);
         let queries = dashboard_batch();
         for (query, batched) in queries
             .iter()
-            .zip(engine.execute_batch_with_view(&cube, &queries, &view))
+            .zip(engine.execute(&cube, &queries, &options))
         {
-            assert_eq!(
-                batched.unwrap(),
-                engine.execute_with_view(&cube, query, &view).unwrap()
-            );
+            let alone = run_with(&engine, &cube, query, &options).unwrap();
+            assert_eq!(batched.unwrap(), alone);
+            assert_eq!(alone, oracle(&cube, query, &view).unwrap());
         }
     }
 
@@ -2883,6 +2524,7 @@ mod tests {
                 .with_workers(2)
                 .with_morsel_rows(3),
         );
+        let view = InstanceView::unrestricted();
         let good = Query::over("Sales")
             .group_by(AttributeRef::new("Store", "City", "name"))
             .measure("UnitSales");
@@ -2891,25 +2533,31 @@ mod tests {
             .measure("UnitSales")
             .filter_fact(Filter::eq("ghost", "x"));
         let batch = vec![bad_resolution.clone(), good.clone(), bad_scan.clone()];
-        let results = engine.execute_batch(&cube, &batch);
-        assert_eq!(
-            format!("{}", results[0].as_ref().unwrap_err()),
-            format!("{}", engine.execute(&cube, &bad_resolution).unwrap_err())
-        );
-        assert_eq!(
-            results[1].as_ref().unwrap(),
-            &engine.execute(&cube, &good).unwrap()
-        );
-        assert_eq!(
-            format!("{}", results[2].as_ref().unwrap_err()),
-            format!("{}", engine.execute(&cube, &bad_scan).unwrap_err())
-        );
+        let results = engine.execute(&cube, &batch, &ExecOptions::default());
+        for (query, result) in batch.iter().zip(&results) {
+            let alone = run(&engine, &cube, query);
+            match (result, alone) {
+                (Ok(result), Ok(alone)) => {
+                    assert_eq!(result, &alone);
+                    assert_eq!(alone, oracle(&cube, query, &view).unwrap());
+                }
+                (Err(result), Err(alone)) => {
+                    assert_eq!(result.to_string(), alone.to_string());
+                    let reference = oracle(&cube, query, &view).unwrap_err();
+                    assert_eq!(alone.to_string(), reference.to_string());
+                }
+                (result, alone) => panic!("batch {result:?} vs alone {alone:?}"),
+            }
+        }
+        assert!(results[1].is_ok());
     }
 
     #[test]
     fn empty_batch_returns_no_results() {
         let cube = sales_cube();
-        assert!(QueryEngine::new().execute_batch(&cube, &[]).is_empty());
+        assert!(QueryEngine::new()
+            .execute(&cube, &[], &ExecOptions::default())
+            .is_empty());
     }
 
     #[test]
@@ -2923,8 +2571,11 @@ mod tests {
                 .measure(measure)
         };
         let batch = vec![by_city("UnitSales"), by_city("StoreCost")];
-        let view = InstanceView::unrestricted();
-        let first = engine.execute_batch_cached(&cube, &batch, &view, Some((&dicts, 1)));
+        let options = ExecOptions {
+            dicts: Some((&dicts, 1)),
+            ..ExecOptions::default()
+        };
+        let first = engine.execute(&cube, &batch, &options);
         assert!(first.iter().all(Result::is_ok));
         // One build for the whole batch: the second query's lookup hit
         // the batch-local memo, so the cache saw a single miss.
@@ -2932,15 +2583,13 @@ mod tests {
         assert_eq!((stats.misses, stats.entries), (1, 1));
         // A later batch at the same generation hits the cross-batch
         // cache instead of rebuilding.
-        let second = engine.execute_batch_cached(&cube, &batch, &view, Some((&dicts, 1)));
+        let second = engine.execute(&cube, &batch, &options);
         assert_eq!(first[0].as_ref().unwrap(), second[0].as_ref().unwrap());
         let stats = dicts.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
-        // The standalone cached path shares the same dictionaries.
-        let standalone = engine
-            .execute_with_view_cached(&cube, &batch[0], &view, Some((&dicts, 1)))
-            .unwrap();
-        assert_eq!(&standalone, first[0].as_ref().unwrap());
+        // A batch of one shares the same dictionaries.
+        let alone = run_with(&engine, &cube, &batch[0], &options).unwrap();
+        assert_eq!(&alone, first[0].as_ref().unwrap());
         assert_eq!(dicts.stats().hits, 2);
     }
 
@@ -2953,11 +2602,13 @@ mod tests {
         let query = Query::over("Sales")
             .group_by(AttributeRef::new("Store", "City", "name"))
             .measure("UnitSales");
-        let expected = engine.execute(&cube, &query).unwrap();
+        let expected = run(&engine, &cube, &query).unwrap();
         let run = |generation: u64| {
-            engine
-                .execute_with_view_cached(&cube, &query, &view, Some((&dicts, generation)))
-                .unwrap()
+            let options = ExecOptions {
+                dicts: Some((&dicts, generation)),
+                ..ExecOptions::with_view(&view)
+            };
+            run_with(&engine, &cube, &query, &options).unwrap()
         };
         assert_eq!(run(1), expected);
         assert_eq!(dicts.stats().misses, 1);

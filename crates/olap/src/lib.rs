@@ -22,12 +22,14 @@
 //! * [`Filter`] — boolean and spatial predicates over dimension members and
 //!   facts;
 //! * [`Query`] / [`QueryEngine`] — morsel-parallel group-by aggregation
-//!   (roll-up, slice, dice) with optional [`InstanceView`] restriction:
-//!   fixed-size fact-row chunks are filtered and partially aggregated on
-//!   scoped worker threads ([`ExecutionConfig`] sets the worker count and
-//!   morsel size), then the partial [`aggregate::Accumulator`] states are
-//!   merged in morsel order, so results are identical for any worker
-//!   count;
+//!   (roll-up, slice, dice) with optional [`InstanceView`] restriction,
+//!   through one entry point that runs every call as a shared-scan
+//!   batch: fixed-size fact-row chunks are filtered once per batch and
+//!   partially aggregated per query by the calling thread and the
+//!   engine's [`MorselPool`] helpers ([`ExecutionConfig`] sets the worker
+//!   count and morsel size), then the partial [`aggregate::Accumulator`]
+//!   states are merged in morsel order, so results are identical for any
+//!   worker count and any batch;
 //! * [`QueryCache`] — a snapshot-generation-keyed result cache the serving
 //!   layer puts in front of the executor;
 //! * [`InstanceView`] — the personalized selection produced by the paper's
@@ -67,7 +69,8 @@ pub use column::{Column, ColumnType, Dictionary};
 pub use cube::{Cube, CubeBuilder, DimensionTable, FactTable, FactTableStats, LayerTable};
 pub use dicts::{DictCacheStats, GroupDictCache};
 pub use engine::{
-    ExecutionConfig, QueryEngine, QueryObs, DEFAULT_GROUP_SLOT_LIMIT, DEFAULT_MORSEL_ROWS,
+    ExecOptions, ExecutionConfig, QueryEngine, QueryObs, StageFamily, DEFAULT_GROUP_SLOT_LIMIT,
+    DEFAULT_MORSEL_ROWS,
 };
 pub use error::OlapError;
 pub use filter::{CompareOp, Filter, SpatialPredicateOp};

@@ -4,10 +4,10 @@
 //!
 //! # Why a pool
 //!
-//! Before this module, every parallel query paid to spin up its own
-//! `std::thread::scope` worker set and all queries contended for cores at
-//! equal priority — a heavy analytical tenant could starve a latency-bound
-//! dashboard tenant simply by keeping more scans in flight. The pool
+//! Without it, every parallel query would pay to spin up its own worker
+//! threads and all queries would contend for cores at equal priority — a
+//! heavy analytical tenant could starve a latency-bound dashboard tenant
+//! simply by keeping more scans in flight. The pool
 //! replaces per-query spawns with N long-lived workers (spawned once,
 //! joined on drop) and puts a *scheduler* between queries and workers:
 //! each tenant ([`ClassId`]) owns a queue of morsel task sets, and workers
@@ -21,14 +21,14 @@
 //! A query does not hand its whole scan to the pool and wait. The calling
 //! thread *always* scans (so a query makes progress even when every
 //! worker is busy with other tenants, and a `workers = 1` configuration
-//! never touches the pool), and [`MorselPool::scan`] enqueues up to
-//! `helpers` additional task items that let pool workers join the same
+//! never touches the pool), and [`MorselPool::scan_cancellable`] enqueues
+//! up to `helpers` additional task items that let pool workers join the same
 //! morsel loop. All participants pull morsel indices from the query's
 //! shared atomic counter, so how many helpers actually arrive — zero under
 //! saturation, all of them when idle — changes only latency, never
 //! results: partials still merge in morsel-index order
 //! (see [`crate::engine`]), which the `pool_equivalence` property suite
-//! enforces against the scoped executor.
+//! enforces against inline execution and the serial reference.
 //!
 //! When the caller finishes its own loop the morsel counter is exhausted,
 //! so still-queued helper items can contribute nothing: they are removed
@@ -36,7 +36,7 @@
 //! helpers *already running* — which are scanning this query's morsels
 //! and must finish before the borrowed stack frames unwind. That wait is
 //! what makes the lifetime-erasing submission sound (see the safety
-//! comment in [`MorselPool::scan`]).
+//! comment in [`MorselPool::scan_cancellable`]).
 //!
 //! # Admission control
 //!
@@ -306,38 +306,30 @@ pub struct PoolStats {
 /// `helpers` times; every dispatch runs the same closure (participants
 /// share the query's morsel counter).
 struct TaskSet {
-    /// The scan loop. Really borrows the submitting `scan` call's stack
-    /// frame; the `'static` is a lie made sound by `scan` not returning
-    /// until `outstanding` reaches zero.
+    /// The scan loop. Really borrows the submitting scan call's stack
+    /// frame; the `'static` is a lie made sound by the call not
+    /// returning until `outstanding` reaches zero.
     work: &'static (dyn Fn() + Send + Sync),
-    /// The query's cancellation token, when it runs on the cancellable
-    /// path: a panicking helper poisons it so the other participants
-    /// stop scanning. Borrows the same stack frame as `work`, under the
-    /// same soundness argument.
-    cancel: Option<&'static CancelToken>,
+    /// The query's cancellation token: a panicking helper poisons it so
+    /// the other participants stop scanning. Borrows the same stack
+    /// frame as `work`, under the same soundness argument.
+    cancel: &'static CancelToken,
     tenant: usize,
     enqueued: Instant,
-    state: Mutex<TaskState>,
+    /// Queued-or-running items not yet finished. The submitter waits for
+    /// zero.
+    outstanding: Mutex<usize>,
     done: Condvar,
-}
-
-struct TaskState {
-    /// Queued-or-running items not yet finished. `scan` waits for zero.
-    outstanding: usize,
-    /// Whether any dispatched item panicked; re-raised by `scan` to
-    /// match the scoped executor's behaviour.
-    panicked: bool,
 }
 
 impl TaskSet {
     /// Marks one dispatched item finished and wakes the submitter when
     /// it was the last.
-    fn complete(&self, panicked: bool) {
-        let mut state = self.state.lock().expect("task latch poisoned");
-        state.panicked |= panicked;
-        state.outstanding -= 1;
-        if state.outstanding == 0 {
-            drop(state);
+    fn complete(&self) {
+        let mut outstanding = self.outstanding.lock().expect("task latch poisoned");
+        *outstanding -= 1;
+        if *outstanding == 0 {
+            drop(outstanding);
             self.done.notify_all();
         }
     }
@@ -454,44 +446,32 @@ fn worker_loop(shared: Arc<Shared>) {
         }));
         if outcome.is_err() {
             // Contain the panic to its query: poison the query's token
-            // (cancellable path) so surviving participants stop pulling
-            // morsels, and record it on the latch. The worker itself
-            // keeps serving other tenants either way.
-            if let Some(token) = set.cancel {
-                token.poison();
-            }
+            // so surviving participants stop pulling morsels. The worker
+            // itself keeps serving other tenants.
+            set.cancel.poison();
         }
-        set.complete(outcome.is_err());
+        set.complete();
     }
 }
 
-/// Runs the calling thread's side of a scan. On the cancellable path a
-/// caller panic is contained exactly like a helper panic: the token is
-/// poisoned (so helpers stop) and the unwind is swallowed — the
-/// executor turns the poisoned token into a typed error.
-fn run_participant(cancel: Option<&CancelToken>, work: &(dyn Fn() + Send + Sync)) {
-    match cancel {
-        None => work(),
-        Some(token) => {
-            if catch_unwind(AssertUnwindSafe(work)).is_err() {
-                token.poison();
-            }
-        }
+/// Runs the calling thread's side of a scan. A caller panic is
+/// contained exactly like a helper panic: the token is poisoned (so
+/// helpers stop) and the unwind is swallowed — the executor turns the
+/// poisoned token into a typed error.
+fn run_participant(cancel: &CancelToken, work: &(dyn Fn() + Send + Sync)) {
+    if catch_unwind(AssertUnwindSafe(work)).is_err() {
+        cancel.poison();
     }
 }
 
 /// Joins the caller's submission on every exit path: removes
-/// still-queued items under the scheduler lock, waits for running ones,
-/// and re-raises a helper panic. Being a `Drop` guard makes the wait
-/// unconditional even when the caller's own scan panics — without it
-/// the unwind would free stack frames helper threads still borrow.
+/// still-queued items under the scheduler lock and waits for running
+/// ones. Being a `Drop` guard makes the wait unconditional even if the
+/// submitting frame unwinds — without it the unwind would free stack
+/// frames helper threads still borrow.
 struct ScanJoin<'a> {
     shared: &'a Shared,
     set: &'a Arc<TaskSet>,
-    /// Legacy (`scan`) behaviour: re-raise a helper panic in the
-    /// submitting thread, matching `thread::scope`. The cancellable
-    /// path turns the panic into a poisoned token instead.
-    reraise: bool,
 }
 
 impl Drop for ScanJoin<'_> {
@@ -506,13 +486,14 @@ impl Drop for ScanJoin<'_> {
         if removed > 0 {
             self.shared.admit_released.notify_all();
         }
-        let mut state = self.set.state.lock().expect("task latch poisoned");
-        state.outstanding -= removed;
-        while state.outstanding > 0 {
-            state = self.set.done.wait(state).expect("task latch poisoned");
-        }
-        if state.panicked && self.reraise && !std::thread::panicking() {
-            panic!("morsel worker panicked");
+        let mut outstanding = self.set.outstanding.lock().expect("task latch poisoned");
+        *outstanding -= removed;
+        while *outstanding > 0 {
+            outstanding = self
+                .set
+                .done
+                .wait(outstanding)
+                .expect("task latch poisoned");
         }
     }
 }
@@ -695,16 +676,9 @@ impl MorselPool {
     /// the same atomic morsel counter, so extra invocations past
     /// exhaustion return immediately and the result is independent of
     /// how many helpers actually ran. Helper items still queued when
-    /// the caller's own loop completes are cancelled; a helper panic is
-    /// re-raised here, matching `thread::scope`.
-    pub fn scan(&self, class: ClassId, helpers: usize, work: &(dyn Fn() + Send + Sync)) {
-        self.scan_inner(class, helpers, None, work);
-    }
-
-    /// Like [`MorselPool::scan`], but with a shared [`CancelToken`]
-    /// instead of `thread::scope` panic semantics: a panicking
+    /// the caller's own loop completes are cancelled. A panicking
     /// participant — helper *or* caller — **poisons the token** rather
-    /// than re-raising, the other participants observe it between
+    /// than unwinding, the other participants observe it between
     /// morsels and stop, and `scan_cancellable` returns normally. The
     /// caller reads the typed outcome from
     /// [`CancelToken::terminal_error`]; the pool, its scheduler lock
@@ -716,38 +690,25 @@ impl MorselPool {
         cancel: &CancelToken,
         work: &(dyn Fn() + Send + Sync),
     ) {
-        self.scan_inner(class, helpers, Some(cancel), work);
-    }
-
-    fn scan_inner(
-        &self,
-        class: ClassId,
-        helpers: usize,
-        cancel: Option<&CancelToken>,
-        work: &(dyn Fn() + Send + Sync),
-    ) {
         if helpers == 0 || self.shared.workers == 0 {
             run_participant(cancel, work);
             return;
         }
         // SAFETY: the closure borrows the caller's stack frame, but
         // every queued item is either executed to completion or removed
-        // from the queue under the scheduler lock before `scan` returns
+        // from the queue under the scheduler lock before this returns
         // (`ScanJoin::drop` runs even when `work` unwinds), so no
         // worker can dereference `work` after this frame is gone. The
         // token borrows the same frame under the same argument.
         let work: &'static (dyn Fn() + Send + Sync) = unsafe { std::mem::transmute(work) };
-        let cancel: Option<&'static CancelToken> = unsafe { std::mem::transmute(cancel) };
+        let cancel: &'static CancelToken = unsafe { std::mem::transmute(cancel) };
         let t = tenant_index(class);
         let set = Arc::new(TaskSet {
             work,
             cancel,
             tenant: t,
             enqueued: Instant::now(),
-            state: Mutex::new(TaskState {
-                outstanding: 0,
-                panicked: false,
-            }),
+            outstanding: Mutex::new(0),
             done: Condvar::new(),
         });
         let queued = {
@@ -762,7 +723,7 @@ impl MorselPool {
                     .min(helpers)
             };
             if room > 0 {
-                set.state.lock().expect("task latch poisoned").outstanding = room;
+                *set.outstanding.lock().expect("task latch poisoned") = room;
                 for _ in 0..room {
                     inner.queues[t].push_back(Arc::clone(&set));
                 }
@@ -777,7 +738,6 @@ impl MorselPool {
         let join = ScanJoin {
             shared: &self.shared,
             set: &set,
-            reraise: cancel.is_none(),
         };
         run_participant(cancel, work);
         drop(join);
@@ -936,39 +896,11 @@ mod tests {
         let work = || {
             counter.fetch_add(1, Ordering::Relaxed);
         };
-        pool.scan(ClassId::DEFAULT, 3, &work);
+        pool.scan_cancellable(ClassId::DEFAULT, 3, &CancelToken::new(), &work);
         // The caller ran exactly once; helpers ran at most 3 times
         // (cancelled ones not at all).
         let ran = counter.load(Ordering::Relaxed);
         assert!((1..=4).contains(&ran), "ran {ran} times");
-    }
-
-    #[test]
-    fn helper_panic_is_reraised_like_thread_scope() {
-        let pool = MorselPool::new(PoolConfig::default().with_workers(2));
-        let armed = AtomicBool::new(true);
-        let work = || {
-            let is_worker = std::thread::current()
-                .name()
-                .is_some_and(|n| n.starts_with("sdwp-morsel-"));
-            if is_worker && armed.swap(false, Ordering::Relaxed) {
-                panic!("boom");
-            }
-            if !is_worker {
-                // Give the idle workers time to dequeue the helper item
-                // before the join cancels it.
-                std::thread::sleep(Duration::from_millis(2));
-            }
-        };
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            // Keep submitting until a helper actually took the grenade
-            // (a queued helper may be cancelled before running); the
-            // scan that enqueued the panicking helper re-raises.
-            while armed.load(Ordering::Relaxed) {
-                pool.scan(ClassId::DEFAULT, 2, &work);
-            }
-        }));
-        assert!(outcome.is_err(), "helper panic must re-raise in scan()");
     }
 
     #[test]
@@ -1012,7 +944,7 @@ mod tests {
                         }
                     }
                 };
-                pool.scan(ClassId::DEFAULT, 1, &work);
+                pool.scan_cancellable(ClassId::DEFAULT, 1, &CancelToken::new(), &work);
             })
         };
         // Wait until the worker is actually parked inside the gate.
@@ -1047,7 +979,7 @@ mod tests {
                         }
                     }
                 };
-                pool.scan(class, items, &work);
+                pool.scan_cancellable(class, items, &CancelToken::new(), &work);
             })
         };
         let light_scan = submit(light, b'l', 6);
@@ -1231,7 +1163,7 @@ mod tests {
         );
         // The pool (and its scheduler mutex) keeps serving.
         let counter = AtomicUsize::new(0);
-        pool.scan(class, 2, &|| {
+        pool.scan_cancellable(class, 2, &CancelToken::new(), &|| {
             counter.fetch_add(1, Ordering::Relaxed);
         });
         assert!(counter.load(Ordering::Relaxed) >= 1);

@@ -44,8 +44,11 @@ pub struct InstanceView {
 
 impl InstanceView {
     /// Creates an unrestricted view.
-    pub fn unrestricted() -> Self {
-        InstanceView::default()
+    pub const fn unrestricted() -> Self {
+        InstanceView {
+            dimension_selections: BTreeMap::new(),
+            fact_selections: BTreeMap::new(),
+        }
     }
 
     /// Returns `true` when no restriction has been registered.

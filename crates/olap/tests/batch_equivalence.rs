@@ -1,16 +1,16 @@
 //! The batch-equivalence property suite: for arbitrary generated cubes,
 //! personalized views and query *batches* — mixed grouped/ungrouped
-//! shapes, shared and disjoint filters — `QueryEngine::execute_batch`
-//! must return, for every member, a result **identical** to executing
-//! that query alone, at every worker count and on both grouped paths.
-//! The same holds when the batch runs through a shared group-key
-//! dictionary cache, cold or warm.
+//! shapes, shared and disjoint filters — `QueryEngine::execute` must
+//! return, for every member, a result **identical** to executing that
+//! query standalone (as a batch of one) and to the serial reference, at
+//! every worker count and on both grouped paths. The same holds when the
+//! batch runs through a shared group-key dictionary cache, cold or warm.
 //!
 //! Measures are dyadic rationals (multiples of 0.25), so float addition
 //! is exact on the generated data and identity is a provable property:
-//! any divergence between the shared-scan path and the standalone path —
-//! a mis-shared selection vector, a dictionary served to the wrong
-//! query, a merge in the wrong order — fails hard instead of hiding in a
+//! any divergence between a shared scan and a batch of one — a
+//! mis-shared selection vector, a dictionary served to the wrong query,
+//! a merge in the wrong order — fails hard instead of hiding in a
 //! rounding tolerance.
 
 use proptest::prelude::*;
@@ -19,9 +19,22 @@ use sdwp_model::{
     SchemaBuilder,
 };
 use sdwp_olap::{
-    AttributeRef, CellValue, Cube, ExecutionConfig, Filter, GroupDictCache, InstanceView, Query,
-    QueryEngine,
+    AttributeRef, CellValue, Cube, ExecOptions, ExecutionConfig, Filter, GroupDictCache,
+    InstanceView, OlapError, Query, QueryEngine, QueryResult,
 };
+
+/// The same outcome, compared by value on success and by message on
+/// failure (errors carry no `PartialEq` across paths).
+fn same(
+    a: &Result<QueryResult, OlapError>,
+    b: &Result<QueryResult, OlapError>,
+) -> Result<(), String> {
+    match (a, b) {
+        (Ok(a), Ok(b)) if a == b => Ok(()),
+        (Err(a), Err(b)) if a.to_string() == b.to_string() => Ok(()),
+        (a, b) => Err(format!("{a:?} vs {b:?}")),
+    }
+}
 
 /// Pool of attribute values; small so group keys collide often and
 /// independently generated queries often share (or split) filters.
@@ -255,8 +268,9 @@ proptest! {
 
     /// The headline property: every member of a batch — whatever mix of
     /// grouped/ungrouped shapes and shared/disjoint filters the
-    /// generators produced — returns exactly what it would standalone,
-    /// at 1, 2 and 8 workers, on both grouped paths.
+    /// generators produced — returns exactly what it would standalone (as
+    /// a batch of one) and what the serial reference returns, at 1, 2 and
+    /// 8 workers, on both grouped paths.
     #[test]
     fn batch_members_equal_standalone_execution(
         cube in cube_spec(),
@@ -266,6 +280,8 @@ proptest! {
         let built_cube = build_cube(&cube);
         let built_queries: Vec<Query> = queries.iter().map(build_query).collect();
         let built_view = build_view(&view, &cube);
+        let options = ExecOptions::with_view(&built_view);
+        let serial = QueryEngine::with_config(ExecutionConfig::serial());
         for workers in [1usize, 2, 8] {
             for slot_limit in [0usize, sdwp_olap::DEFAULT_GROUP_SLOT_LIMIT] {
                 let engine = QueryEngine::with_config(
@@ -274,25 +290,22 @@ proptest! {
                         .with_morsel_rows(7)
                         .with_group_slot_limit(slot_limit),
                 );
-                let batched =
-                    engine.execute_batch_with_view(&built_cube, &built_queries, &built_view);
+                let batched = engine.execute(&built_cube, &built_queries, &options);
                 prop_assert_eq!(batched.len(), built_queries.len());
-                for (query, batched) in built_queries.iter().zip(batched) {
-                    let standalone = engine.execute_with_view(&built_cube, query, &built_view);
-                    match (batched, standalone) {
-                        (Ok(batched), Ok(standalone)) => prop_assert_eq!(
-                            &batched, &standalone,
-                            "workers={} slot_limit={}", workers, slot_limit
-                        ),
-                        (Err(batched), Err(standalone)) => prop_assert_eq!(
-                            batched.to_string(), standalone.to_string(),
-                            "workers={} slot_limit={}", workers, slot_limit
-                        ),
-                        (batched, standalone) => prop_assert!(
-                            false,
-                            "batch/standalone disagree on success: {:?} vs {:?}",
-                            batched, standalone
-                        ),
+                for (query, batched) in built_queries.iter().zip(&batched) {
+                    let standalone = engine
+                        .execute(&built_cube, std::slice::from_ref(query), &options)
+                        .remove(0);
+                    let reference =
+                        serial.execute_serial_with_view(&built_cube, query, &built_view);
+                    for (name, other) in [("standalone", &standalone), ("serial", &reference)] {
+                        if let Err(diff) = same(batched, other) {
+                            prop_assert!(
+                                false,
+                                "batch vs {} at workers={} slot_limit={}: {}",
+                                name, workers, slot_limit, diff
+                            );
+                        }
                     }
                 }
             }
@@ -316,15 +329,14 @@ proptest! {
             ExecutionConfig::default().with_workers(4).with_morsel_rows(7),
         );
         let uncached =
-            engine.execute_batch_with_view(&built_cube, &built_queries, &built_view);
+            engine.execute(&built_cube, &built_queries, &ExecOptions::with_view(&built_view));
         let dicts = GroupDictCache::new();
+        let options = ExecOptions {
+            dicts: Some((&dicts, 1)),
+            ..ExecOptions::with_view(&built_view)
+        };
         for round in 0..2 {
-            let cached = engine.execute_batch_cached(
-                &built_cube,
-                &built_queries,
-                &built_view,
-                Some((&dicts, 1)),
-            );
+            let cached = engine.execute(&built_cube, &built_queries, &options);
             for (uncached, cached) in uncached.iter().zip(cached) {
                 match (uncached, cached) {
                     (Ok(uncached), Ok(cached)) => {
@@ -358,8 +370,11 @@ proptest! {
         let engine = QueryEngine::with_config(
             ExecutionConfig::default().with_workers(4).with_morsel_rows(7),
         );
-        let standalone = engine.execute(&built_cube, &built_query);
-        for batched in engine.execute_batch(&built_cube, &batch) {
+        let options = ExecOptions::default();
+        let standalone = engine
+            .execute(&built_cube, std::slice::from_ref(&built_query), &options)
+            .remove(0);
+        for batched in engine.execute(&built_cube, &batch, &options) {
             match (&standalone, batched) {
                 (Ok(standalone), Ok(batched)) => prop_assert_eq!(standalone, &batched),
                 (Err(standalone), Err(batched)) => {

@@ -20,7 +20,8 @@ use sdwp_model::{
     SchemaBuilder,
 };
 use sdwp_olap::{
-    AttributeRef, CellValue, Cube, ExecutionConfig, Filter, InstanceView, Query, QueryEngine,
+    AttributeRef, CellValue, Cube, ExecOptions, ExecutionConfig, Filter, InstanceView, OlapError,
+    Query, QueryEngine, QueryResult,
 };
 
 /// Pool of attribute values; small so group keys collide often.
@@ -40,6 +41,27 @@ const AGGREGATIONS: [AggregationFunction; 6] = [
     AggregationFunction::Count,
     AggregationFunction::CountDistinct,
 ];
+
+/// One query through [`QueryEngine::execute`], as a batch of one.
+fn run(
+    engine: &QueryEngine,
+    cube: &Cube,
+    query: &Query,
+    view: &InstanceView,
+) -> Result<QueryResult, OlapError> {
+    engine
+        .execute(
+            cube,
+            std::slice::from_ref(query),
+            &ExecOptions::with_view(view),
+        )
+        .remove(0)
+}
+
+/// The serial reference (the test oracle) through `view`.
+fn oracle(cube: &Cube, query: &Query, view: &InstanceView) -> Result<QueryResult, OlapError> {
+    QueryEngine::with_config(ExecutionConfig::serial()).execute_serial_with_view(cube, query, view)
+}
 
 fn schema() -> Schema {
     SchemaBuilder::new("PropDW")
@@ -278,8 +300,7 @@ proptest! {
         let built_cube = build_cube(&cube);
         let built_query = build_query(&query);
         let built_view = build_view(&view, &cube);
-        let serial = QueryEngine::with_config(ExecutionConfig::serial())
-            .execute_serial_with_view(&built_cube, &built_query, &built_view)
+        let serial = oracle(&built_cube, &built_query, &built_view)
             .expect("generated queries are valid");
         for workers in [1usize, 2, 8] {
             // A small prime morsel size forces ragged chunks and many
@@ -293,8 +314,7 @@ proptest! {
                         .with_morsel_rows(7)
                         .with_group_slot_limit(slot_limit),
                 );
-                let parallel = engine
-                    .execute_with_view(&built_cube, &built_query, &built_view)
+                let parallel = run(&engine, &built_cube, &built_query, &built_view)
                     .expect("parallel execution succeeds where serial does");
                 prop_assert_eq!(
                     &parallel, &serial,
@@ -342,9 +362,8 @@ proptest! {
             .group_by(AttributeRef::new("D0", "B", "name"))
             .measure("M1")
             .measure_agg("M1", AggregationFunction::Min);
-        let serial = QueryEngine::with_config(ExecutionConfig::serial())
-            .execute_serial_with_view(&cube, &query, &InstanceView::unrestricted())
-            .expect("query is valid");
+        let unrestricted = InstanceView::unrestricted();
+        let serial = oracle(&cube, &query, &unrestricted).expect("query is valid");
         // Exact cardinality = product of (distinct values + reserved null
         // slot) per attribute, mirroring the engine's dictionary sizes.
         let distinct = |cells: Vec<CellValue>| {
@@ -365,8 +384,7 @@ proptest! {
                     .with_morsel_rows(5)
                     .with_group_slot_limit(slot_limit),
             );
-            let parallel = engine
-                .execute(&cube, &query)
+            let parallel = run(&engine, &cube, &query, &unrestricted)
                 .expect("parallel execution succeeds");
             prop_assert_eq!(&parallel, &serial, "slot_limit={}", slot_limit);
         }
@@ -400,14 +418,16 @@ proptest! {
             .group_by(AttributeRef::new("D0", "A", "name"))
             .measure("M1")
             .measure_agg("M1", AggregationFunction::Avg);
-        let reference = QueryEngine::with_config(
-            ExecutionConfig::default().with_workers(1).with_morsel_rows(5),
-        ).execute(&cube, &query).unwrap();
-        for workers in [2usize, 3, 8] {
-            let result = QueryEngine::with_config(
+        let unrestricted = InstanceView::unrestricted();
+        let with_workers = |workers: usize| {
+            let engine = QueryEngine::with_config(
                 ExecutionConfig::default().with_workers(workers).with_morsel_rows(5),
-            ).execute(&cube, &query).unwrap();
-            prop_assert_eq!(&result, &reference, "workers={}", workers);
+            );
+            run(&engine, &cube, &query, &unrestricted).unwrap()
+        };
+        let reference = with_workers(1);
+        for workers in [2usize, 3, 8] {
+            prop_assert_eq!(&with_workers(workers), &reference, "workers={}", workers);
         }
     }
 }
@@ -451,19 +471,17 @@ fn adversarial_separator_keys_stay_distinct() {
         .group_by(AttributeRef::new("D0", "A", "name"))
         .group_by(AttributeRef::new("D0", "B", "name"))
         .measure("M1");
-    let serial = QueryEngine::with_config(ExecutionConfig::serial())
-        .execute_serial(&cube, &query)
-        .unwrap();
+    let unrestricted = InstanceView::unrestricted();
+    let serial = oracle(&cube, &query, &unrestricted).unwrap();
     assert_eq!(serial.len(), 2, "separator-bearing keys must not merge");
     for slot_limit in [0usize, sdwp_olap::DEFAULT_GROUP_SLOT_LIMIT] {
-        let parallel = QueryEngine::with_config(
+        let engine = QueryEngine::with_config(
             ExecutionConfig::default()
                 .with_workers(2)
                 .with_morsel_rows(1)
                 .with_group_slot_limit(slot_limit),
-        )
-        .execute(&cube, &query)
-        .unwrap();
+        );
+        let parallel = run(&engine, &cube, &query, &unrestricted).unwrap();
         assert_eq!(parallel, serial, "slot_limit={slot_limit}");
     }
 }
@@ -507,21 +525,18 @@ fn view_restricted_grouped_query_matches_serial_reference() {
         .group_by(AttributeRef::new("D0", "A", "name"))
         .measure("M1")
         .measure_agg("M1", AggregationFunction::Count);
-    let serial = QueryEngine::with_config(ExecutionConfig::serial())
-        .execute_serial_with_view(&cube, &query, &view)
-        .unwrap();
+    let serial = oracle(&cube, &query, &view).unwrap();
     assert!(
         serial.rows.iter().len() > 1,
         "the restricted view should still leave several groups"
     );
     for workers in [1usize, 2, 4] {
-        let parallel = QueryEngine::with_config(
+        let engine = QueryEngine::with_config(
             ExecutionConfig::default()
                 .with_workers(workers)
                 .with_morsel_rows(5),
-        )
-        .execute_with_view(&cube, &query, &view)
-        .unwrap();
+        );
+        let parallel = run(&engine, &cube, &query, &view).unwrap();
         assert_eq!(parallel, serial, "workers={workers}");
     }
 }
@@ -555,23 +570,21 @@ fn all_null_measures_keep_groups_alive_on_every_path() {
         .measure_agg("M1", AggregationFunction::Avg)
         .measure_agg("M1", AggregationFunction::Min)
         .measure_agg("M3", AggregationFunction::Count);
-    let serial = QueryEngine::with_config(ExecutionConfig::serial())
-        .execute_serial(&cube, &query)
-        .unwrap();
+    let unrestricted = InstanceView::unrestricted();
+    let serial = oracle(&cube, &query, &unrestricted).unwrap();
     assert_eq!(serial.len(), 2, "all-null groups still materialise");
     assert_eq!(serial.rows[0].values[0], CellValue::Float(0.0));
     assert_eq!(serial.rows[0].values[1], CellValue::Null);
     assert_eq!(serial.rows[0].values[2], CellValue::Null);
     assert_eq!(serial.rows[0].values[3], CellValue::Integer(0));
     for slot_limit in [0usize, sdwp_olap::DEFAULT_GROUP_SLOT_LIMIT] {
-        let parallel = QueryEngine::with_config(
+        let engine = QueryEngine::with_config(
             ExecutionConfig::default()
                 .with_workers(4)
                 .with_morsel_rows(3)
                 .with_group_slot_limit(slot_limit),
-        )
-        .execute(&cube, &query)
-        .unwrap();
+        );
+        let parallel = run(&engine, &cube, &query, &unrestricted).unwrap();
         assert_eq!(parallel, serial, "slot_limit={slot_limit}");
     }
 }

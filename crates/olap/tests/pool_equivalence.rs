@@ -1,9 +1,10 @@
-//! The pool-equivalence property suite: executing through the shared
+//! The pool-equivalence property suite: executing through a shared
 //! morsel worker pool ([`sdwp_olap::MorselPool`]) must be
-//! **indistinguishable** from the per-query `thread::scope` executor and
-//! from the serial row-at-a-time reference — same groups, same
-//! aggregates, same row order, same scan counters — for arbitrary
-//! generated cubes, queries and personalized views.
+//! **indistinguishable** from executing on an engine's own pool, from
+//! inline (one-worker) execution and from the serial row-at-a-time
+//! reference — same groups, same aggregates, same row order, same scan
+//! counters — for arbitrary generated cubes, queries and personalized
+//! views.
 //!
 //! This holds by construction (partials merge in morsel-index order, so
 //! *which* thread scanned a morsel is invisible), and the properties here
@@ -21,10 +22,31 @@ use sdwp_model::{
     SchemaBuilder,
 };
 use sdwp_olap::{
-    AttributeRef, CellValue, Cube, ExecutionConfig, Filter, InstanceView, MorselPool, PoolConfig,
-    Query, QueryEngine, TenantPolicy,
+    AttributeRef, CellValue, Cube, ExecOptions, ExecutionConfig, Filter, InstanceView, MorselPool,
+    OlapError, PoolConfig, Query, QueryEngine, QueryResult, TenantPolicy,
 };
 use std::sync::Arc;
+
+/// One query through [`QueryEngine::execute`], as a batch of one.
+fn run(
+    engine: &QueryEngine,
+    cube: &Cube,
+    query: &Query,
+    view: &InstanceView,
+) -> Result<QueryResult, OlapError> {
+    engine
+        .execute(
+            cube,
+            std::slice::from_ref(query),
+            &ExecOptions::with_view(view),
+        )
+        .remove(0)
+}
+
+/// The serial reference (the test oracle) through `view`.
+fn oracle(cube: &Cube, query: &Query, view: &InstanceView) -> Result<QueryResult, OlapError> {
+    QueryEngine::with_config(ExecutionConfig::serial()).execute_serial_with_view(cube, query, view)
+}
 
 /// Pool of attribute values; small so group keys collide often.
 const POOL: [&str; 4] = ["x", "y", "z", "w"];
@@ -252,22 +274,25 @@ fn build_view(spec: &ViewSpec, cube_spec: &CubeSpec) -> InstanceView {
     view
 }
 
-/// Engine pairs under test: a scoped executor and a pooled executor with
-/// the **same** execution config, so any divergence is the pool's fault.
-fn engine_pair(
+/// The engines under test, all with the **same** execution config
+/// except the worker count of the inline one: an engine on the shared
+/// `pool`, an engine owning its private pool, and an inline engine — so
+/// any divergence is the pool's (or the inline loop's) fault.
+fn engines(
     pool: &Arc<MorselPool>,
     workers: usize,
     slot_limit: usize,
-) -> (QueryEngine, QueryEngine) {
+) -> [(&'static str, QueryEngine); 3] {
     let config = ExecutionConfig::default()
         .with_workers(workers)
         // A small prime morsel size forces ragged chunks and many merges.
         .with_morsel_rows(7)
         .with_group_slot_limit(slot_limit);
-    (
-        QueryEngine::with_config(config),
-        QueryEngine::with_pool(config, Arc::clone(pool)),
-    )
+    [
+        ("pooled", QueryEngine::with_pool(config, Arc::clone(pool))),
+        ("owned-pool", QueryEngine::with_config(config)),
+        ("inline", QueryEngine::with_config(config.with_workers(1))),
+    ]
 }
 
 proptest! {
@@ -277,9 +302,10 @@ proptest! {
     /// execution through the shared worker pool at several requested
     /// worker counts — including counts *above* the pool's worker
     /// population, where the caller scans alongside every helper — is
-    /// bit-identical to the scoped executor and the serial reference.
+    /// bit-identical to an engine's own pool, to inline execution and to
+    /// the serial reference.
     #[test]
-    fn pooled_equals_scoped_and_serial(
+    fn pooled_equals_owned_inline_and_serial(
         cube in cube_spec(),
         query in query_spec(),
         view in view_spec(),
@@ -287,35 +313,28 @@ proptest! {
         let built_cube = build_cube(&cube);
         let built_query = build_query(&query);
         let built_view = build_view(&view, &cube);
-        let serial = QueryEngine::with_config(ExecutionConfig::serial())
-            .execute_serial_with_view(&built_cube, &built_query, &built_view)
+        let serial = oracle(&built_cube, &built_query, &built_view)
             .expect("generated queries are valid");
         let pool = Arc::new(MorselPool::new(PoolConfig::default().with_workers(3)));
         for workers in [2usize, 4, 8] {
             for slot_limit in [0usize, sdwp_olap::DEFAULT_GROUP_SLOT_LIMIT] {
-                let (scoped, pooled) = engine_pair(&pool, workers, slot_limit);
-                let scoped_result = scoped
-                    .execute_with_view(&built_cube, &built_query, &built_view)
-                    .expect("scoped execution succeeds where serial does");
-                let pooled_result = pooled
-                    .execute_with_view(&built_cube, &built_query, &built_view)
-                    .expect("pooled execution succeeds where scoped does");
-                prop_assert_eq!(
-                    &scoped_result, &serial,
-                    "scoped vs serial, workers={} slot_limit={}", workers, slot_limit
-                );
-                prop_assert_eq!(
-                    &pooled_result, &serial,
-                    "pooled vs serial, workers={} slot_limit={}", workers, slot_limit
-                );
+                for (name, engine) in engines(&pool, workers, slot_limit) {
+                    let result = run(&engine, &built_cube, &built_query, &built_view)
+                        .expect("execution succeeds where serial does");
+                    prop_assert_eq!(
+                        &result, &serial,
+                        "{} vs serial, workers={} slot_limit={}", name, workers, slot_limit
+                    );
+                }
             }
         }
     }
 
-    /// Batch equivalence through the pool: the shared-scan batch path
-    /// submits its morsel loop to the pool exactly like standalone
-    /// execution does, so every batch slot must match the standalone
-    /// *pooled* result — which the property above ties to serial.
+    /// Batch equivalence through the pool: a shared-scan batch submits
+    /// its morsel loop to the pool exactly like a batch of one does, so
+    /// every batch slot must match the same batch on the other engines
+    /// and the query executed standalone (as a batch of one) on the
+    /// shared pool — which the property above ties to serial.
     #[test]
     fn pooled_batch_matches_standalone(
         cube in cube_spec(),
@@ -325,22 +344,26 @@ proptest! {
         let built_cube = build_cube(&cube);
         let built_queries: Vec<Query> = queries.iter().map(build_query).collect();
         let built_view = build_view(&view, &cube);
+        let options = ExecOptions::with_view(&built_view);
         let pool = Arc::new(MorselPool::new(PoolConfig::default().with_workers(2)));
-        let (scoped, pooled) = engine_pair(&pool, 4, sdwp_olap::DEFAULT_GROUP_SLOT_LIMIT);
-        let scoped_batch = scoped.execute_batch_with_view(&built_cube, &built_queries, &built_view);
-        let pooled_batch = pooled.execute_batch_with_view(&built_cube, &built_queries, &built_view);
-        prop_assert_eq!(scoped_batch.len(), pooled_batch.len());
-        for (slot, (scoped_entry, pooled_entry)) in
-            scoped_batch.iter().zip(pooled_batch.iter()).enumerate()
-        {
-            match (scoped_entry, pooled_entry) {
-                (Ok(a), Ok(b)) => prop_assert_eq!(a, b, "batch slot {}", slot),
-                (Err(_), Err(_)) => {}
-                _ => prop_assert!(false, "batch slot {} ok/err mismatch", slot),
+        let [(_, pooled), others @ ..] = engines(&pool, 4, sdwp_olap::DEFAULT_GROUP_SLOT_LIMIT);
+        let pooled_batch = pooled.execute(&built_cube, &built_queries, &options);
+        prop_assert_eq!(pooled_batch.len(), built_queries.len());
+        for (name, engine) in &others {
+            let batch = engine.execute(&built_cube, &built_queries, &options);
+            for (slot, (entry, pooled_entry)) in batch.iter().zip(&pooled_batch).enumerate() {
+                match (entry, pooled_entry) {
+                    (Ok(a), Ok(b)) => prop_assert_eq!(a, b, "{} batch slot {}", name, slot),
+                    (Err(a), Err(b)) => {
+                        prop_assert_eq!(a.to_string(), b.to_string(), "{} slot {}", name, slot)
+                    }
+                    _ => prop_assert!(false, "{} batch slot {} ok/err mismatch", name, slot),
+                }
             }
-            if let Ok(expected) = scoped_entry {
-                let standalone = pooled
-                    .execute_with_view(&built_cube, &built_queries[slot], &built_view)
+        }
+        for (slot, entry) in pooled_batch.iter().enumerate() {
+            if let Ok(expected) = entry {
+                let standalone = run(&pooled, &built_cube, &built_queries[slot], &built_view)
                     .expect("standalone pooled execution succeeds");
                 prop_assert_eq!(&standalone, expected, "batch slot {} vs standalone", slot);
             }
@@ -360,17 +383,15 @@ proptest! {
         let built_cube = build_cube(&cube);
         let built_query = build_query(&query);
         let view = InstanceView::unrestricted();
-        let serial = QueryEngine::with_config(ExecutionConfig::serial())
-            .execute_serial_with_view(&built_cube, &built_query, &view)
+        let serial = oracle(&built_cube, &built_query, &view)
             .expect("generated queries are valid");
         let pool = Arc::new(MorselPool::new(PoolConfig::default().with_workers(2)));
         pool.set_policy(
             sdwp_obs::ClassId::default(),
             TenantPolicy::default().with_max_queued(max_queued),
         );
-        let (_, pooled) = engine_pair(&pool, 8, sdwp_olap::DEFAULT_GROUP_SLOT_LIMIT);
-        let pooled_result = pooled
-            .execute_with_view(&built_cube, &built_query, &view)
+        let [(_, pooled), ..] = engines(&pool, 8, sdwp_olap::DEFAULT_GROUP_SLOT_LIMIT);
+        let pooled_result = run(&pooled, &built_cube, &built_query, &view)
             .expect("pooled execution succeeds");
         prop_assert_eq!(&pooled_result, &serial, "max_queued={}", max_queued);
     }
@@ -410,15 +431,10 @@ fn concurrent_tenants_share_one_pool_without_cross_talk() {
             .measure_agg("M2", AggregationFunction::Max)
             .limit(3),
     ];
-    let serial_engine = QueryEngine::with_config(ExecutionConfig::serial());
     let view = InstanceView::unrestricted();
     let expected: Vec<_> = queries
         .iter()
-        .map(|q| {
-            serial_engine
-                .execute_serial_with_view(&cube, q, &view)
-                .expect("reference query runs")
-        })
+        .map(|q| oracle(&cube, q, &view).expect("reference query runs"))
         .collect();
 
     let pool = Arc::new(MorselPool::new(PoolConfig::default().with_workers(3)));
@@ -444,8 +460,7 @@ fn concurrent_tenants_share_one_pool_without_cross_talk() {
                             .with_morsel_rows(16),
                         pool,
                     );
-                    let result = engine
-                        .execute_with_view(&cube, &query, &InstanceView::unrestricted())
+                    let result = run(&engine, &cube, &query, &InstanceView::unrestricted())
                         .expect("pooled query runs");
                     assert_eq!(
                         &result, expected,
@@ -473,9 +488,8 @@ fn pool_shutdown_is_clean_and_replaceable() {
     let query = Query::over("F")
         .group_by(AttributeRef::new("D0", "A", "name"))
         .measure("M1");
-    let serial = QueryEngine::with_config(ExecutionConfig::serial())
-        .execute_serial(&cube, &query)
-        .unwrap();
+    let view = InstanceView::unrestricted();
+    let serial = oracle(&cube, &query, &view).unwrap();
     for _ in 0..3 {
         let pool = Arc::new(MorselPool::new(PoolConfig::default().with_workers(2)));
         let engine = QueryEngine::with_pool(
@@ -484,7 +498,7 @@ fn pool_shutdown_is_clean_and_replaceable() {
                 .with_morsel_rows(8),
             Arc::clone(&pool),
         );
-        assert_eq!(engine.execute(&cube, &query).unwrap(), serial);
+        assert_eq!(run(&engine, &cube, &query, &view).unwrap(), serial);
         drop(engine);
         drop(pool); // joins the workers; a hang here fails via test timeout
     }

@@ -23,8 +23,8 @@ use sdwp_model::{
 };
 use sdwp_olap::aggregate::Accumulator;
 use sdwp_olap::{
-    AttributeRef, CellValue, Column, ColumnType, Cube, ExecutionConfig, InstanceView, Query,
-    QueryEngine,
+    AttributeRef, CellValue, Column, ColumnType, Cube, ExecOptions, ExecutionConfig, InstanceView,
+    Query, QueryEngine,
 };
 
 fn option_of<S>(values: S) -> BoxedStrategy<Option<S::Value>>
@@ -280,7 +280,8 @@ proptest! {
                             .with_morsel_rows(7)
                             .with_group_slot_limit(slot_limit),
                     )
-                    .execute_with_view(&cube, &query, &view)
+                    .execute(&cube, std::slice::from_ref(&query), &ExecOptions::with_view(&view))
+                    .remove(0)
                     .expect("parallel execution succeeds where serial does");
                     prop_assert_eq!(
                         &parallel,
@@ -338,7 +339,12 @@ proptest! {
             prop_assert_eq!(&after_stale, &before, "stale view, query={:?}", query);
             // Eagerly remapped view, both executors.
             let after_remapped = parallel_engine
-                .execute_with_view(&compacted, &query, &remapped_view)
+                .execute(
+                    &compacted,
+                    std::slice::from_ref(&query),
+                    &ExecOptions::with_view(&remapped_view),
+                )
+                .remove(0)
                 .expect("valid query");
             prop_assert_eq!(&after_remapped, &before, "remapped view, query={:?}", query);
         }

@@ -28,7 +28,10 @@ use sdwp::datagen::{PaperScenario, RetailTicker, ScenarioConfig, TickerConfig};
 use sdwp::ingest::{EpochPolicy, IngestConfig};
 use sdwp::model::AggregationFunction;
 use sdwp::olap::fault::{self, FailAction};
-use sdwp::olap::{AttributeRef, ExecutionConfig, OlapError, Query, QueryResult};
+use sdwp::olap::{
+    AttributeRef, ExecOptions, ExecutionConfig, InstanceView, OlapError, Query, QueryEngine,
+    QueryResult,
+};
 use sdwp::user::LocationContext;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
@@ -170,17 +173,13 @@ fn injected_errors_leave_survivors_bit_identical() {
         .collect();
 
     // One failpoint per pipeline stage: plan resolution, the morsel scan
-    // loop (standalone and shared-scan batch), and the merge.
-    for site in [
-        "query.resolve",
-        "query.scan.morsel",
-        "query.batch.morsel",
-        "query.merge",
-    ] {
+    // loop and the merge. Pivots and dashboards share the one pipeline,
+    // so every site fires on both.
+    for site in ["query.resolve", "query.scan.morsel", "query.merge"] {
         for seed in SEEDS {
             fault::set_seed(seed);
             fault::arm(site, FailAction::Error("chaos".into()), 3, None);
-            let failures: u64 = std::thread::scope(|scope| {
+            let (failures, entry_failures): (u64, u64) = std::thread::scope(|scope| {
                 let workers: Vec<_> = (0..THREADS)
                     .map(|_| {
                         let engine = Arc::clone(&engine);
@@ -190,6 +189,7 @@ fn injected_errors_leave_survivors_bit_identical() {
                         scope.spawn(move || {
                             let session = login(&engine, scenario);
                             let mut failures = 0u64;
+                            let mut entry_failures = 0u64;
                             for _ in 0..ROUNDS {
                                 for (query, expected) in queries.iter().zip(reference) {
                                     match engine.query(session, query) {
@@ -220,7 +220,7 @@ fn injected_errors_leave_survivors_bit_identical() {
                                                     message,
                                                 })) => {
                                                     assert_eq!(message, "injected: chaos");
-                                                    failures += 1;
+                                                    entry_failures += 1;
                                                 }
                                                 Err(other) => panic!(
                                                     "untyped batch failure under {site}: {other:?}"
@@ -238,20 +238,28 @@ fn injected_errors_leave_survivors_bit_identical() {
                                 }
                             }
                             engine.end_session(session).expect("chaos session ends");
-                            failures
+                            (failures, entry_failures)
                         })
                     })
                     .collect();
-                workers.into_iter().map(|w| w.join().unwrap()).sum()
+                workers
+                    .into_iter()
+                    .map(|w| w.join().unwrap())
+                    .fold((0, 0), |(a, b), (c, d)| (a + c, b + d))
             });
             assert!(
                 fault::hits(site) > 0,
                 "the {site} round never fired — the chaos was a no-op"
             );
-            // The scan sites fire per morsel inside whichever path owns
-            // them; the per-query sites must have failed queries.
+            // The scan site fires per morsel; the per-query sites fire
+            // per batch member, so they must have failed single queries
+            // and surfaced as typed per-entry failures of the dashboards.
             if site == "query.resolve" || site == "query.merge" {
-                assert!(failures > 0, "{site} fired but nothing surfaced");
+                assert!(failures > 0, "{site} fired but no query surfaced it");
+                assert!(
+                    entry_failures > 0,
+                    "{site} fired but no batch entry surfaced it"
+                );
             }
             fault::disarm(site);
         }
@@ -336,6 +344,65 @@ fn contained_panics_poison_only_their_own_query() {
     assert_pool_quiescent(&engine);
 }
 
+/// A `QueryEngine` built from a bare config (no pool handed in) contains
+/// a scan panic exactly like the serving engine does: it owns its pool,
+/// so every slot of the call comes back with the typed
+/// [`OlapError::ExecutionPanicked`] instead of unwinding into the caller,
+/// and once disarmed the next run equals the serial reference.
+#[test]
+fn engine_built_without_a_pool_contains_scan_panics() {
+    let _serial = serial();
+    let _teardown = Teardown;
+    let _quiet = QuietPanics::install();
+    let scenario = PaperScenario::generate(ScenarioConfig::tiny());
+    let cube = &scenario.cube;
+    // Small morsels, so the scan really fans out over several workers.
+    let engine = QueryEngine::with_config(
+        ExecutionConfig::default()
+            .with_workers(4)
+            .with_morsel_rows(16),
+    );
+    // Measures whose aggregates are exact in any summation order, so the
+    // morsel pipeline equals the row-at-a-time reference bit for bit.
+    let queries = vec![
+        Query::over("Sales").measure("UnitSales"),
+        Query::over("Sales")
+            .group_by(AttributeRef::new("Store", "City", "name"))
+            .measure("UnitSales")
+            .measure_agg("StoreSales", AggregationFunction::Max),
+        Query::over("Sales")
+            .group_by(AttributeRef::new("Product", "Category", "name"))
+            .measure_agg("UnitSales", AggregationFunction::Count)
+            .measure_agg("StoreCost", AggregationFunction::Min),
+    ];
+    let options = ExecOptions::default();
+
+    fault::set_seed(SEEDS[0]);
+    fault::arm(
+        "query.scan.morsel",
+        FailAction::Panic("chaos".into()),
+        1,
+        None,
+    );
+    let results = engine.execute(cube, &queries, &options);
+    assert!(fault::hits("query.scan.morsel") > 0);
+    fault::disarm("query.scan.morsel");
+    assert_eq!(results.len(), queries.len());
+    for result in results {
+        assert_eq!(result, Err(OlapError::ExecutionPanicked));
+    }
+
+    let view = InstanceView::unrestricted();
+    for (query, result) in queries.iter().zip(engine.execute(cube, &queries, &options)) {
+        assert_eq!(
+            result.expect("the disarmed run succeeds"),
+            engine
+                .execute_serial_with_view(cube, query, &view)
+                .expect("the reference runs")
+        );
+    }
+}
+
 /// A deadline expiring inside a degraded scan cancels with the typed
 /// refusal and **no partial state**: the result cache holds nothing a
 /// cancelled query touched, and once the fault clears the same query
@@ -356,7 +423,6 @@ fn deadlines_cancel_degraded_queries_with_no_partial_state() {
 
     fault::set_seed(SEEDS[0]);
     fault::arm("query.scan.morsel", FailAction::SleepMs(10), 1, None);
-    fault::arm("query.batch.morsel", FailAction::SleepMs(10), 1, None);
     for _ in 0..3 {
         match engine.query_with_deadline(session, &query, budget) {
             Err(CoreError::DeadlineExceeded) => {}
@@ -375,9 +441,9 @@ fn deadlines_cancel_degraded_queries_with_no_partial_state() {
         }
         Err(other) => panic!("untyped batch failure: {other:?}"),
     }
-    assert!(fault::hits("query.scan.morsel") > 0);
-    assert!(fault::hits("query.batch.morsel") > 0);
-    fault::disarm("query.batch.morsel");
+    // Pivots and the dashboard both ran the one morsel loop: every
+    // degraded call hit the site.
+    assert!(fault::hits("query.scan.morsel") >= 4);
     assert_eq!(
         engine.cache_stats().entries,
         0,

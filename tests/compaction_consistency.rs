@@ -15,7 +15,7 @@
 use sdwp::core::PersonalizationEngine;
 use sdwp::datagen::{PaperScenario, ScenarioConfig};
 use sdwp::ingest::{CompactionPolicy, DeltaBatch, EpochPolicy, IngestConfig};
-use sdwp::olap::{CellValue, ExecutionConfig, Query, QueryEngine};
+use sdwp::olap::{CellValue, ExecOptions, ExecutionConfig, Query, QueryEngine};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -94,7 +94,12 @@ fn session_views_survive_compaction_under_concurrent_ingest() {
                     let view = engine.session_view(session).expect("view loads");
                     let (_, cube) = engine.cube_versioned();
                     let a = parallel
-                        .execute_with_view(&cube, &sum_query, &view)
+                        .execute(
+                            &cube,
+                            std::slice::from_ref(&sum_query),
+                            &ExecOptions::with_view(&view),
+                        )
+                        .remove(0)
                         .expect("parallel");
                     let b = serial
                         .execute_serial_with_view(&cube, &sum_query, &view)

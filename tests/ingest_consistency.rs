@@ -19,10 +19,25 @@ use proptest::prelude::*;
 use sdwp::core::PersonalizationEngine;
 use sdwp::datagen::{PaperScenario, RetailTicker, ScenarioConfig, TickerConfig};
 use sdwp::ingest::{DeltaBatch, EpochPolicy, IngestConfig};
-use sdwp::olap::{AttributeRef, CellValue, ExecutionConfig, InstanceView, Query, QueryEngine};
+use sdwp::olap::{
+    AttributeRef, CellValue, Cube, ExecOptions, ExecutionConfig, InstanceView, Query, QueryEngine,
+    QueryResult,
+};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
+
+/// One query through [`QueryEngine::execute`], as a batch of one.
+fn run(engine: &QueryEngine, cube: &Cube, query: &Query, view: &InstanceView) -> QueryResult {
+    engine
+        .execute(
+            cube,
+            std::slice::from_ref(query),
+            &ExecOptions::with_view(view),
+        )
+        .remove(0)
+        .expect("query runs")
+}
 
 fn queries() -> Vec<Query> {
     vec![
@@ -83,12 +98,8 @@ fn concurrent_readers_never_observe_a_torn_batch() {
                 while !done.load(Ordering::Relaxed) {
                     // Pin the exact snapshot a query would observe.
                     let (generation, cube) = engine.cube_versioned();
-                    let counted = parallel
-                        .execute_with_view(&cube, &count_query, &view)
-                        .expect("count query runs");
-                    let summed = parallel
-                        .execute_with_view(&cube, &sum_query, &view)
-                        .expect("sum query runs");
+                    let counted = run(&parallel, &cube, &count_query, &view);
+                    let summed = run(&parallel, &cube, &sum_query, &view);
                     let count = counted.rows[0].values[0].as_number().unwrap() as usize;
                     let sum = summed.rows[0].values[0].as_number().unwrap();
                     // Whole batches only: every batch appends exactly
@@ -242,12 +253,12 @@ fn serial_and_parallel_agree_on_snapshots_mid_ingest() {
             let (_, cube) = engine.cube_versioned();
             for query in &queries() {
                 for view in &views {
-                    let result = parallel.execute_with_view(&cube, query, view).unwrap();
+                    let result = run(&parallel, &cube, query, view);
                     // Worker-count invariance is bit-exact at a fixed
                     // morsel size, mid-ingest included.
                     assert_eq!(
                         result,
-                        one_worker.execute_with_view(&cube, query, view).unwrap(),
+                        run(&one_worker, &cube, query, view),
                         "worker-count divergence at round {round}"
                     );
                     assert_equivalent(
@@ -262,7 +273,7 @@ fn serial_and_parallel_agree_on_snapshots_mid_ingest() {
     let (_, cube) = engine.cube_versioned();
     for query in &queries() {
         assert_equivalent(
-            &parallel.execute_with_view(&cube, query, &views[1]).unwrap(),
+            &run(&parallel, &cube, query, &views[1]),
             &serial
                 .execute_serial_with_view(&cube, query, &views[1])
                 .unwrap(),
@@ -313,10 +324,11 @@ proptest! {
         prop_assert_eq!(snapshot.total_fact_rows(), reference.total_fact_rows());
         prop_assert_eq!(snapshot.total_live_fact_rows(), reference.total_live_fact_rows());
         let executor = QueryEngine::new();
+        let view = InstanceView::unrestricted();
         for query in &queries() {
             prop_assert_eq!(
-                executor.execute(&snapshot, query).expect("query runs"),
-                executor.execute(&reference, query).expect("query runs"),
+                run(&executor, &snapshot, query, &view),
+                run(&executor, &reference, query, &view),
             );
         }
         // No batch was rejected or failed along the way.
